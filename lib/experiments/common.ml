@@ -305,11 +305,13 @@ let clear_memo () =
 (* Guarded cell execution                                              *)
 (* ------------------------------------------------------------------ *)
 
-let verify_enabled =
-  lazy
-    (match Sys.getenv_opt "VSPEC_VERIFY" with
-    | Some ("1" | "on" | "true" | "yes") -> true
-    | _ -> false)
+(* Read on every call (once per simulated cell), never through a
+   [lazy]: a lazy value forced from two pool domains at once raises
+   [CamlinternalLazy.Undefined]. *)
+let verify_enabled () =
+  match Sys.getenv_opt "VSPEC_VERIFY" with
+  | Some ("1" | "on" | "true" | "yes") -> true
+  | _ -> false
 
 (* [run_result] is the one entry point that actually simulates: it
    checks the negative cache, then computes under single-flight memo
@@ -348,7 +350,7 @@ let rec run_result ?cpu ?iterations:iters ~arch ~seed variant bench =
                      | None ->
                        Atomic.incr simulations;
                        let r = Harness.run ~iterations:iters ~config bench in
-                       verify variant ~cell:key r bench;
+                       verify variant ~cell:key ~iters r bench;
                        disk_store ~kind:"run" ~config ~iters ~attempt bench r;
                        r)
                with
@@ -361,20 +363,22 @@ let rec run_result ?cpu ?iterations:iters ~arch ~seed variant bench =
       Error err)
 
 (* Checksum verification (opt-in via VSPEC_VERIFY) compares a run
-   against the interpreter-only reference.  Only configurations that
-   preserve semantics are checkable — check-removal and
-   element-trusting variants are *expected* to diverge (paper Fig 10),
-   and the reference cell itself (V_interp_only) must never verify
-   against itself or the memo producer would deadlock on re-entry. *)
-and verify variant ~cell (r : Harness.result) bench =
+   against an interpreter-only run of the same iteration count (several
+   benchmarks carry state across iterations, so their checksum depends
+   on it).  Only configurations that preserve semantics are checkable —
+   check-removal and element-trusting variants are *expected* to
+   diverge (paper Fig 10), and the reference cell itself
+   (V_interp_only) must never verify against itself or the memo
+   producer would deadlock on re-entry. *)
+and verify variant ~cell ~iters (r : Harness.result) bench =
   let checkable =
     match variant with
     | V_normal | V_baseline | V_turboprop -> true
     | V_no_checks _ | V_no_branches | V_interp_only | V_smi_ext
     | V_trust_elements | V_fuse_maps -> false
   in
-  if checkable && Lazy.force verify_enabled && r.Harness.error = None then begin
-    let expected = reference_checksum bench in
+  if checkable && verify_enabled () && r.Harness.error = None then begin
+    let expected = interp_checksum ~iterations:iters bench in
     let got = r.Harness.checksum in
     let same = (Float.is_nan expected && Float.is_nan got) || expected = got in
     if not same then
@@ -383,14 +387,17 @@ and verify variant ~cell (r : Harness.result) bench =
            (Support.Fault.Checksum_mismatch { cell; expected; got }))
   end
 
-and reference_checksum bench =
-  Support.Pool.Memo.find_or_compute ref_cache bench.Workloads.Suite.id
+and interp_checksum ~iterations bench =
+  Support.Pool.Memo.find_or_compute ref_cache
+    (Printf.sprintf "%s|%d" bench.Workloads.Suite.id iterations)
     (fun () ->
       match
-        run_result ~iterations:3 ~arch:Arch.Arm64 ~seed:1 V_interp_only bench
+        run_result ~iterations ~arch:Arch.Arm64 ~seed:1 V_interp_only bench
       with
       | Ok r -> r.Harness.checksum
       | Error err -> raise (Support.Fault.Fault err))
+
+let reference_checksum bench = interp_checksum ~iterations:3 bench
 
 let run_cached ?cpu ?iterations ~arch ~seed variant bench =
   match run_result ?cpu ?iterations ~arch ~seed variant bench with

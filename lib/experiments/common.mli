@@ -69,9 +69,14 @@ val removable_groups :
 (** Raising variant of {!removable_groups_result}. *)
 
 val reference_checksum : Workloads.Suite.benchmark -> float
-(** Interpreter-only checksum used to validate every configuration
-    (compared by the opt-in [VSPEC_VERIFY] pass for semantics-preserving
-    variants). *)
+(** Interpreter-only checksum of a 3-iteration run.  The opt-in
+    [VSPEC_VERIFY] pass checks each semantics-preserving cell against an
+    interpreter-only run of the cell's own iteration count instead, since
+    stateful benchmarks' checksums depend on it. *)
+
+val verify_enabled : unit -> bool
+(** Whether [VSPEC_VERIFY] is on; read from the environment on each
+    call. *)
 
 val degraded : string -> (unit -> unit) -> unit
 (** [degraded name f] runs [f]; a [Support.Fault.Fault] escaping it is

@@ -15,7 +15,8 @@
    windows, watchdog fuel) are modeled individually.
    Pseudo-instructions (labels, checkpoints) are compiled away and
    branch targets are remapped onto the compacted dispatch-slot array.
-   VSPEC_FUSE=0 / VSPEC_BATCH=0 disable either pass.
+   Both passes always run: [VSPEC_EXEC=direct] is the only way back to
+   per-instruction execution.
 
    The program is cached on the code object itself
    ([Code.decode_cache]); recompilation allocates a fresh [Code.t], so
@@ -93,7 +94,6 @@ type st = {
   bp : Predictor.t; (* = cpu.bp, hoisted out of the per-branch path *)
   counters : Perf.counters;
   fstats : Perf.fusion;
-  binc : int; (* 1 when block batching is on: blocks charged per entry *)
   regs : int array;
   fregs : float array;
   slots : int array;
@@ -116,13 +116,14 @@ type st = {
    the next micro-op, or -1 after setting [st.outcome]. *)
 type uop = st -> int
 
-(* Static integer-counter cost of a run of micro-ops.  One record per
-   basic block is charged at block entry; the same shape describes the
-   refund applied when a block exits early (mid-block deopt bailout or
-   machine fault), so the committed counters equal the direct
-   interpreter's exactly on every path.  Only order-independent integer
-   counters can be batched like this: all float state (clock, stall
-   accumulators) is non-associative and stays per-instruction. *)
+(* Signed static integer-counter cost of a run of micro-ops.  One
+   record per basic block is charged at block entry; the same shape,
+   stored negated, is the refund applied when a block exits early
+   (mid-block deopt bailout or machine fault), so the committed
+   counters equal the direct interpreter's exactly on every path.
+   Only order-independent integer counters can be batched like this:
+   all float state (clock, stall accumulators) is non-associative and
+   stays per-instruction. *)
 type delta = {
   d_instr : int;
   d_jit : int;
@@ -134,6 +135,9 @@ type delta = {
   d_groups : int array; (* length 6; the shared all-zero array if empty *)
   d_fused : int array; (* per Perf fuse kind; shared zeros if empty *)
   d_fused_retired : int;
+  d_blocks : int;
+      (* 1 in a block's entry charge, 0 in refunds: [batched_blocks]
+         counts charge events, not retired instructions *)
 }
 
 let zeros6 = Array.make 6 0
@@ -151,6 +155,7 @@ let no_delta =
     d_groups = zeros6;
     d_fused = zerosf;
     d_fused_retired = 0;
+    d_blocks = 0;
   }
 
 (* Decode-time static coverage of one compiled program. *)
@@ -182,38 +187,15 @@ type program = {
   p_deltas : delta array; (* per block id: batched static cost *)
   p_faults : delta array;
       (* per slot: refund when a Machine_fault escapes this slot *)
-  p_fuse : bool;
-  p_batch : bool; (* flags the program was compiled under *)
   p_stats : stats;
 }
 
 type Code.cache += Decoded of program
 
-(* ------------------------------------------------------------------ *)
-(* Engine configuration: VSPEC_FUSE / VSPEC_BATCH escape hatches       *)
-(* (mirroring VSPEC_EXEC=direct) plus programmatic overrides for the   *)
-(* determinism tests.  [get] recompiles when a cached program was      *)
-(* built under different flags, so toggling mid-process is safe.       *)
-(* ------------------------------------------------------------------ *)
-
-let env_flag name =
-  lazy
-    (match Sys.getenv_opt name with
-    | Some ("0" | "off" | "no" | "false") -> false
-    | Some _ | None -> true)
-
-let env_fuse = env_flag "VSPEC_FUSE"
-let env_batch = env_flag "VSPEC_BATCH"
-let fuse_override : bool option ref = ref None
-let batch_override : bool option ref = ref None
-let set_fuse o = fuse_override := o
-let set_batch o = batch_override := o
-
-let fuse_enabled () =
-  match !fuse_override with Some b -> b | None -> Lazy.force env_fuse
-
-let batch_enabled () =
-  match !batch_override with Some b -> b | None -> Lazy.force env_batch
+(* Fusion and block batching are how this engine works; these stay
+   only as constants for callers that stamp the engine configuration. *)
+let fuse_enabled () = true
+let batch_enabled () = true
 
 (* Ready times are completion timestamps: always finite, never NaN and
    never negative, so a branchy max is exactly [Float.max] without the
@@ -315,12 +297,13 @@ let[@inline] issue_branch st ~pc ~ready ~taken =
   end;
   ignore (fin st complete)
 
-(* Batched accounting: one static-counter update per basic-block entry
-   (or per slot when batching is off — the deltas then describe single
-   slots).  Integer adds only; commutes with everything the micro-op
-   bodies do, so charging at entry instead of per retired instruction
-   is invisible in the final counters. *)
-let charge st (d : delta) =
+(* Apply a signed delta to the static integer counters: a block's
+   charge at entry, or the stored-negated refund of a block's
+   unexecuted suffix on the cold early-exit paths (deopt bailouts,
+   machine faults).  Integer adds only; they commute with everything
+   the micro-op bodies do, so charging at block entry instead of per
+   retired instruction is invisible in the final counters. *)
+let add st (d : delta) =
   let c = st.counters in
   c.Perf.instructions <- c.Perf.instructions + d.d_instr;
   c.Perf.jit_instructions <- c.Perf.jit_instructions + d.d_jit;
@@ -340,7 +323,7 @@ let charge st (d : delta) =
     end
   end;
   let fs = st.fstats in
-  fs.Perf.batched_blocks <- fs.Perf.batched_blocks + st.binc;
+  fs.Perf.batched_blocks <- fs.Perf.batched_blocks + d.d_blocks;
   if d.d_fused_retired <> 0 then begin
     fs.Perf.fused_retired <- fs.Perf.fused_retired + d.d_fused_retired;
     let f = d.d_fused in
@@ -349,43 +332,6 @@ let charge st (d : delta) =
       let v = Array.unsafe_get f fi in
       if v <> 0 then Array.unsafe_set pf fi (Array.unsafe_get pf fi + v)
     done
-  end
-
-(* Exact inverse of the unexecuted suffix of a block, applied on the
-   cold early-exit paths (deopt bailouts, machine faults) so batched
-   counters match what the direct interpreter actually retired.
-   [batched_blocks] is a charge-event count, not a per-instruction
-   counter, so it is deliberately not refunded. *)
-let refund st (d : delta) =
-  if d != no_delta then begin
-    let c = st.counters in
-    c.Perf.instructions <- c.Perf.instructions - d.d_instr;
-    c.Perf.jit_instructions <- c.Perf.jit_instructions - d.d_jit;
-    c.Perf.loads <- c.Perf.loads - d.d_loads;
-    c.Perf.stores <- c.Perf.stores - d.d_stores;
-    c.Perf.branches <- c.Perf.branches - d.d_branches;
-    if d.d_chk <> 0 then begin
-      c.Perf.check_instructions <- c.Perf.check_instructions - d.d_chk;
-      c.Perf.check_branches <- c.Perf.check_branches - d.d_chkbr;
-      let g = d.d_groups in
-      if g != zeros6 then begin
-        let pg = c.Perf.check_per_group in
-        for gi = 0 to 5 do
-          let v = Array.unsafe_get g gi in
-          if v <> 0 then Array.unsafe_set pg gi (Array.unsafe_get pg gi - v)
-        done
-      end
-    end;
-    if d.d_fused_retired <> 0 then begin
-      let fs = st.fstats in
-      fs.Perf.fused_retired <- fs.Perf.fused_retired - d.d_fused_retired;
-      let f = d.d_fused in
-      let pf = fs.Perf.fused_by_kind in
-      for fi = 0 to Perf.num_fuse_kinds - 1 do
-        let v = Array.unsafe_get f fi in
-        if v <> 0 then Array.unsafe_set pf fi (Array.unsafe_get pf fi - v)
-      done
-    end
   end
 
 let[@inline] mem_index st name a =
@@ -534,8 +480,6 @@ let fuse_kind_of k1 k2 =
 (* ------------------------------------------------------------------ *)
 
 let compile (code : Code.t) : program =
-  let fuse = fuse_enabled () in
-  let batch = batch_enabled () in
   let insns = code.Code.insns in
   let n = Array.length insns in
   let name = code.Code.name in
@@ -590,18 +534,15 @@ let compile (code : Code.t) : program =
   let slot_of_uop = Array.make (n_uops + 1) 0 in
   let slot_first_uop = Array.make (max 1 n_uops) 0 in
   let slot_kind = Array.make (max 1 n_uops) (-1) in
-  let slot_firstb = Array.make (n_uops + 1) false in
   let n_slots = ref 0 in
   let u = ref 0 in
   while !u < n_uops do
     let s = !n_slots in
     slot_of_uop.(!u) <- s;
     slot_first_uop.(s) <- !u;
-    slot_firstb.(!u) <- true;
     let fk =
       if
-        fuse
-        && !u + 1 < n_uops
+        !u + 1 < n_uops
         && (not leader.(!u + 1))
         && uline !u = uline (!u + 1)
       then fuse_kind_of (ku !u) (ku (!u + 1))
@@ -617,179 +558,83 @@ let compile (code : Code.t) : program =
   done;
   let n_slots = !n_slots in
   slot_of_uop.(n_uops) <- n_slots;
-  slot_firstb.(n_uops) <- true;
   let starget l = slot_of_uop.(utarget l) in
 
-  (* ---- static per-uop accounting ----
-     What the direct interpreter's loop and issue paths add to the
-     integer counters for one retired instruction: always one
-     jit_instruction; one retired instruction unless Nop (which never
-     issues); loads/stores/branches by issue path; check provenance
-     from [Insn.prov].  Fused-pair coverage counters ride on the
-     SECOND uop of each pair so a machine fault in the first half
-     refunds the whole pair. *)
-  let du_instr = Array.make (max 1 n_uops) 1 in
-  let du_loads = Array.make (max 1 n_uops) 0 in
-  let du_stores = Array.make (max 1 n_uops) 0 in
-  let du_branches = Array.make (max 1 n_uops) 0 in
-  let du_chk = Array.make (max 1 n_uops) 0 in
-  let du_chkbr = Array.make (max 1 n_uops) 0 in
-  let du_grp = Array.make (max 1 n_uops) (-1) in
-  let du_fusedk = Array.make (max 1 n_uops) (-1) in
-  for u = 0 to n_uops - 1 do
-    let insn = insns.(insn_of_uop.(u)) in
-    (match insn.Insn.kind with
-    | Insn.Nop -> du_instr.(u) <- 0
-    | Insn.Ldr _ | Insn.Ldr_f _ | Insn.Alu_mem _ | Insn.Cmp_mem _
-    | Insn.Js_ldr_smi _ | Insn.Js_chk_map _ ->
-      du_loads.(u) <- 1
-    | Insn.Str _ | Insn.Str_f _ -> du_stores.(u) <- 1
-    | Insn.B _ | Insn.Bcond _ | Insn.Deopt_if _ | Insn.Ret ->
-      du_branches.(u) <- 1
-    | _ -> ());
-    match insn.Insn.prov with
-    | Insn.Check { group; _ } ->
-      du_chk.(u) <- 1;
-      du_grp.(u) <- Insn.group_index group;
-      (match insn.Insn.kind with
-      | Insn.Deopt_if _ -> du_chkbr.(u) <- 1
-      | _ -> ())
-    | Insn.Main_line | Insn.Shared -> ()
-  done;
-  for s = 0 to n_slots - 1 do
-    if slot_kind.(s) >= 0 then
-      du_fusedk.(slot_first_uop.(s) + 1) <- slot_kind.(s)
-  done;
+  (* ---- accounting blocks: batched charges and early-exit refunds ----
+     An accounting block is a control-flow block.  One backward sweep
+     accumulates each block's suffix cost from the static per-uop
+     accounting: what the direct interpreter's loop and issue paths add
+     to the integer counters for one retired instruction (always one
+     jit_instruction; one retired instruction unless Nop, which never
+     issues; loads/stores/branches by issue path; check provenance from
+     [Insn.prov]).  Fused-pair coverage rides on the SECOND uop of each
+     pair, so a machine fault in the first half refunds the whole pair.
 
-  (* ---- accounting blocks and their batched deltas ----
-     With batching on, an accounting block is a control-flow block;
-     with batching off every slot is its own block, which keeps one
-     loop shape for all four engine configurations while restoring
-     per-slot charging. *)
-  let block_start u = if batch then leader.(u) else slot_firstb.(u) in
+     Before micro-op [u] is added, the suffix is the cost strictly
+     AFTER [u]: exactly what the block-entry charge over-counted if
+     execution leaves the block right after [u] retires (deopt taken)
+     or while [u] itself executes (machine fault; the direct engine has
+     fully charged the faulting instruction by then, since its issue
+     precedes the memory access).  [refund_at.(u)] stores that suffix
+     negated; once the sweep reaches the leader, the suffix is the
+     whole block and becomes its entry charge. *)
   let n_blocks = ref 0 in
+  let block_of_uop = Array.make (max 1 n_uops) 0 in
   for u = 0 to n_uops - 1 do
-    if block_start u then incr n_blocks
+    if leader.(u) then incr n_blocks;
+    block_of_uop.(u) <- !n_blocks - 1
   done;
   let n_blocks = !n_blocks in
-  let block_lo = Array.make (max 1 n_blocks) 0 in
-  let block_of_uop = Array.make (max 1 n_uops) 0 in
-  let blk = ref (-1) in
-  for u = 0 to n_uops - 1 do
-    if block_start u then begin
-      incr blk;
-      block_lo.(!blk) <- u
-    end;
-    block_of_uop.(u) <- !blk
-  done;
-  let block_hi b =
-    if b + 1 < n_blocks then block_lo.(b + 1) - 1 else n_uops - 1
-  in
-  let g_scratch = Array.make 6 0 in
-  let f_scratch = Array.make Perf.num_fuse_kinds 0 in
   let p_deltas = Array.make (max 1 n_blocks) no_delta in
-  for b = 0 to n_blocks - 1 do
-    let lo = block_lo.(b) and hi = block_hi b in
-    let ai = ref 0
-    and al = ref 0
-    and asr_ = ref 0
-    and ab = ref 0
-    and ac = ref 0
-    and acb = ref 0
-    and afr = ref 0 in
-    Array.fill g_scratch 0 6 0;
-    Array.fill f_scratch 0 Perf.num_fuse_kinds 0;
-    let any_g = ref false and any_f = ref false in
-    for u = lo to hi do
-      ai := !ai + du_instr.(u);
-      al := !al + du_loads.(u);
-      asr_ := !asr_ + du_stores.(u);
-      ab := !ab + du_branches.(u);
-      ac := !ac + du_chk.(u);
-      acb := !acb + du_chkbr.(u);
-      let g = du_grp.(u) in
-      if g >= 0 then begin
-        g_scratch.(g) <- g_scratch.(g) + 1;
-        any_g := true
-      end;
-      let fk = du_fusedk.(u) in
-      if fk >= 0 then begin
-        f_scratch.(fk) <- f_scratch.(fk) + 1;
-        afr := !afr + 2;
-        any_f := true
-      end
-    done;
-    p_deltas.(b) <-
-      {
-        d_instr = !ai;
-        d_jit = hi - lo + 1;
-        d_loads = !al;
-        d_stores = !asr_;
-        d_branches = !ab;
-        d_chk = !ac;
-        d_chkbr = !acb;
-        d_groups = (if !any_g then Array.copy g_scratch else zeros6);
-        d_fused = (if !any_f then Array.copy f_scratch else zerosf);
-        d_fused_retired = !afr;
-      }
-  done;
-
-  (* ---- early-exit refunds ----
-     [refund_at.(u)] is the static cost of the block suffix strictly
-     AFTER micro-op [u]: exactly what the block-entry charge
-     over-counted if execution leaves the block right after [u]
-     retires (deopt taken) or while [u] itself executes (machine
-     fault; the direct engine has fully charged the faulting
-     instruction by then, since its issue precedes the memory
-     access). *)
   let refund_at = Array.make (n_uops + 1) no_delta in
-  for b = 0 to n_blocks - 1 do
-    let lo = block_lo.(b) and hi = block_hi b in
-    let ai = ref 0
-    and aj = ref 0
-    and al = ref 0
-    and asr_ = ref 0
-    and ab = ref 0
-    and ac = ref 0
-    and acb = ref 0
-    and afr = ref 0 in
-    Array.fill g_scratch 0 6 0;
-    Array.fill f_scratch 0 Perf.num_fuse_kinds 0;
-    let any_g = ref false and any_f = ref false in
-    for u = hi downto lo do
-      if !aj > 0 then
-        refund_at.(u) <-
-          {
-            d_instr = !ai;
-            d_jit = !aj;
-            d_loads = !al;
-            d_stores = !asr_;
-            d_branches = !ab;
-            d_chk = !ac;
-            d_chkbr = !acb;
-            d_groups = (if !any_g then Array.copy g_scratch else zeros6);
-            d_fused = (if !any_f then Array.copy f_scratch else zerosf);
-            d_fused_retired = !afr;
-          };
-      ai := !ai + du_instr.(u);
-      aj := !aj + 1;
-      al := !al + du_loads.(u);
-      asr_ := !asr_ + du_stores.(u);
-      ab := !ab + du_branches.(u);
-      ac := !ac + du_chk.(u);
-      acb := !acb + du_chkbr.(u);
-      let g = du_grp.(u) in
-      if g >= 0 then begin
-        g_scratch.(g) <- g_scratch.(g) + 1;
-        any_g := true
-      end;
-      let fk = du_fusedk.(u) in
-      if fk >= 0 then begin
-        f_scratch.(fk) <- f_scratch.(fk) + 1;
-        afr := !afr + 2;
-        any_f := true
-      end
-    done
+  let g = Array.make 6 0 and f = Array.make Perf.num_fuse_kinds 0 in
+  let ai = ref 0 and aj = ref 0 and al = ref 0 and asr_ = ref 0 in
+  let ab = ref 0 and ac = ref 0 and acb = ref 0 and afr = ref 0 in
+  let suffix sign =
+    {
+      d_instr = sign * !ai;
+      d_jit = sign * !aj;
+      d_loads = sign * !al;
+      d_stores = sign * !asr_;
+      d_branches = sign * !ab;
+      d_chk = sign * !ac;
+      d_chkbr = sign * !acb;
+      d_groups = (if !ac <> 0 then Array.map (( * ) sign) g else zeros6);
+      d_fused = (if !afr <> 0 then Array.map (( * ) sign) f else zerosf);
+      d_fused_retired = sign * !afr;
+      d_blocks = (if sign > 0 then 1 else 0);
+    }
+  in
+  for u = n_uops - 1 downto 0 do
+    if leader.(u + 1) then begin
+      List.iter (fun r -> r := 0) [ ai; aj; al; asr_; ab; ac; acb; afr ];
+      Array.fill g 0 6 0;
+      Array.fill f 0 Perf.num_fuse_kinds 0
+    end;
+    if !aj > 0 then refund_at.(u) <- suffix (-1);
+    let insn = insns.(insn_of_uop.(u)) in
+    incr aj;
+    (match insn.Insn.kind with Insn.Nop -> () | _ -> incr ai);
+    (match insn.Insn.kind with
+    | Insn.Ldr _ | Insn.Ldr_f _ | Insn.Alu_mem _ | Insn.Cmp_mem _
+    | Insn.Js_ldr_smi _ | Insn.Js_chk_map _ ->
+      incr al
+    | Insn.Str _ | Insn.Str_f _ -> incr asr_
+    | Insn.B _ | Insn.Bcond _ | Insn.Deopt_if _ | Insn.Ret -> incr ab
+    | _ -> ());
+    (match insn.Insn.prov with
+    | Insn.Check { group; _ } ->
+      incr ac;
+      let gi = Insn.group_index group in
+      g.(gi) <- g.(gi) + 1;
+      (match insn.Insn.kind with Insn.Deopt_if _ -> incr acb | _ -> ())
+    | Insn.Main_line | Insn.Shared -> ());
+    let s = slot_of_uop.(u) in
+    if slot_first_uop.(s) <> u then begin
+      f.(slot_kind.(s)) <- f.(slot_kind.(s)) + 1;
+      afr := !afr + 2
+    end;
+    if leader.(u) then p_deltas.(block_of_uop.(u)) <- suffix 1
   done;
 
   (* Operand validation, once per instruction at decode time: the
@@ -1149,7 +994,7 @@ let compile (code : Code.t) : program =
           (issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
         if taken then begin
           st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
-          refund st rf;
+          add st rf;
           st.outcome <-
             Deopt
               {
@@ -1181,7 +1026,7 @@ let compile (code : Code.t) : program =
           st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
           if st.regs.(reg_ba) = 0 then
             fault "%s: jsldrsmi bailout with REG_BA unset" name;
-          refund st rf;
+          add st rf;
           st.outcome <-
             Deopt
               {
@@ -1214,7 +1059,7 @@ let compile (code : Code.t) : program =
           st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
           if st.regs.(reg_ba) = 0 then
             fault "%s: jschkmap bailout with REG_BA unset" name;
-          refund st rf;
+          add st rf;
           st.outcome <-
             Deopt
               {
@@ -1361,7 +1206,7 @@ let compile (code : Code.t) : program =
         issue_branch st ~pc:bpc2 ~ready:t ~taken;
         if taken then begin
           st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
-          refund st rf;
+          add st rf;
           st.outcome <-
             Deopt
               {
@@ -1506,7 +1351,7 @@ let compile (code : Code.t) : program =
        always the previous micro-op, so a same-line fetch is provably
        the [last_iline] no-op and is elided at decode time. *)
     if leader.(u1) || uline u1 <> uline (u1 - 1) then addrs.(s) <- base + i1;
-    if block_start u1 then blocks.(s) <- block_of_uop.(u1);
+    if leader.(u1) then blocks.(s) <- block_of_uop.(u1);
     let last_u = if fk >= 0 then u1 + 1 else u1 in
     faults.(s) <- refund_at.(if fault_capable u1 then u1 else last_u);
     if fk >= 0 then begin
@@ -1527,8 +1372,6 @@ let compile (code : Code.t) : program =
     p_blocks = blocks;
     p_deltas;
     p_faults = faults;
-    p_fuse = fuse;
-    p_batch = batch;
     p_stats =
       {
         st_uops = n_uops;
@@ -1539,10 +1382,8 @@ let compile (code : Code.t) : program =
   }
 
 let get (code : Code.t) =
-  let fuse = fuse_enabled () in
-  let batch = batch_enabled () in
   match code.Code.decode_cache with
-  | Decoded p when p.p_fuse = fuse && p.p_batch = batch -> p
+  | Decoded p -> p
   | _ ->
     let p = compile code in
     code.Code.decode_cache <- Decoded p;
@@ -1550,10 +1391,9 @@ let get (code : Code.t) =
       let st = p.p_stats in
       Trace.instant_wall ~cat:"machine"
         ~arg:
-          (Printf.sprintf "uops=%d slots=%d blocks=%d fused=%d fuse=%b batch=%b"
-             st.st_uops st.st_slots st.st_blocks
-             (Array.fold_left ( + ) 0 st.st_fused)
-             fuse batch)
+          (Printf.sprintf "uops=%d slots=%d blocks=%d fused=%d" st.st_uops
+             st.st_slots st.st_blocks
+             (Array.fold_left ( + ) 0 st.st_fused))
         ("decode:" ^ code.Code.name)
     end;
     p
@@ -1585,7 +1425,6 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
       bp = cpu.Cpu.bp;
       counters = cpu.Cpu.counters;
       fstats = cpu.Cpu.fstats;
-      binc = (if p.p_batch then 1 else 0);
       regs;
       fregs;
       slots;
@@ -1643,7 +1482,7 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          if b >= 0 then begin
            if clk.Cpu.now > clk.Cpu.fuel_limit then
              Cpu.watchdog_trip clk ~what:code.Code.name;
-           charge st (Array.unsafe_get deltas b)
+           add st (Array.unsafe_get deltas b)
          end;
          let addr = Array.unsafe_get addrs k in
          if addr >= 0 then Cpu.fetch_line cpu ~addr ~line:(addr lsr 4);
@@ -1660,13 +1499,13 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          if b >= 0 then begin
            if clk.Cpu.now > clk.Cpu.fuel_limit then
              Cpu.watchdog_trip clk ~what:code.Code.name;
-           charge st (Array.unsafe_get deltas b)
+           add st (Array.unsafe_get deltas b)
          end;
          let addr = Array.unsafe_get addrs k in
          if addr >= 0 then Cpu.fetch_line cpu ~addr ~line:(addr lsr 4);
          i := (Array.unsafe_get uops k) st
        done
    with Machine_fault _ as e ->
-     refund st (Array.unsafe_get faults !i);
+     add st (Array.unsafe_get faults !i);
      raise e);
   st.outcome

@@ -85,15 +85,11 @@ type program
 type Code.cache += Decoded of program
 
 val compile : Code.t -> program
-(** Decode unconditionally (does not consult or fill the cache), under
-    the currently effective fuse/batch flags. *)
+(** Decode unconditionally (does not consult or fill the cache). *)
 
 val get : Code.t -> program
 (** Cached decode: compile on first use, then reuse via
-    [Code.decode_cache].  A cached program compiled under different
-    fuse/batch flags than the currently effective ones is discarded
-    and recompiled, so toggling the escape hatches mid-process cannot
-    serve a stale program shape. *)
+    [Code.decode_cache]. *)
 
 val warm : Code.t -> unit
 (** Populate the decode cache eagerly (used at JIT-compile time so the
@@ -108,26 +104,20 @@ val warm : Code.t -> unit
     each straight-line block's static integer counters once at block
     entry, with exact decode-time refunds on cold early exits (deopt
     bailouts, machine faults) so counters stay bit-identical to the
-    direct interpreter on every path.  Both default on; the
-    [VSPEC_FUSE=0] / [VSPEC_BATCH=0] environment knobs or the
-    programmatic overrides below disable them independently. *)
-
-val set_fuse : bool option -> unit
-(** Override the [VSPEC_FUSE] environment setting for this process
-    ([None] = back to the environment).  Used by the determinism tests
-    to digest-compare all four engine configurations. *)
-
-val set_batch : bool option -> unit
-(** Override [VSPEC_BATCH]; same contract as {!set_fuse}. *)
+    direct interpreter on every path.  Both passes always run;
+    [VSPEC_EXEC=direct] selects the per-instruction interpreter. *)
 
 val fuse_enabled : unit -> bool
+(** Always [true]; kept for callers that stamp the engine configuration. *)
+
 val batch_enabled : unit -> bool
+(** Always [true]; kept for callers that stamp the engine configuration. *)
 
 (** Decode-time static coverage of one compiled program. *)
 type stats = {
   st_uops : int;  (** micro-ops (non-pseudo instructions) *)
   st_slots : int;  (** dispatch slots = micro-ops − fused pairs *)
-  st_blocks : int;  (** accounting blocks ( = slots when batching off) *)
+  st_blocks : int;  (** accounting (control-flow) blocks *)
   st_fused : int array;  (** static fused pairs per {!Perf} fuse kind *)
 }
 

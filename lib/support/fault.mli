@@ -16,8 +16,8 @@ type error =
       (** The simulation watchdog's cycle-fuel budget was exhausted
           ([what] = code-object or regex identifier). *)
   | Checksum_mismatch of { cell : string; expected : float; got : float }
-      (** A run's checksum diverged from the interpreter-only reference
-          ({!Experiments.Common.reference_checksum}). *)
+      (** A run's checksum diverged from an interpreter-only run of the
+          same iteration count ([VSPEC_VERIFY]). *)
   | Cache_corrupt of { path : string; reason : string }
       (** An on-disk cache entry failed to unmarshal; it has been
           quarantined as [<digest>.corrupt]. *)

@@ -1,19 +1,9 @@
-(* Decode-cache and fusion-pass coverage: flag-keyed cache behavior
-   (hits, recompiles on escape-hatch toggles, invalidation through
-   fresh code objects), exact static pairing on a known snippet that
-   exercises all four fuse kinds, dynamic fusion/batching counters,
+(* Decode-cache and fusion-pass coverage: cache hits and invalidation
+   through fresh code objects, exact static pairing on a known snippet
+   that exercises all four fuse kinds, dynamic fusion/batching counters,
    and a golden-model test of the branch predictor's hot path. *)
 
 let () = Unix.putenv "VSPEC_CACHE_DIR" "off"
-
-let with_flags ?fuse ?batch f =
-  Decode.set_fuse fuse;
-  Decode.set_batch batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Decode.set_fuse None;
-      Decode.set_batch None)
-    f
 
 (* A 15-instruction snippet (one i-cache line at base 0x100) whose loop
    body contains exactly one statically fusible pair of each kind:
@@ -71,80 +61,54 @@ let null_host () =
     call_js = (fun _ _ -> 0) }
 
 let test_static_pairing () =
-  with_flags ~fuse:true ~batch:true (fun () ->
-      let st = Decode.stats (Decode.compile (snippet ())) in
-      Alcotest.(check int) "micro-ops" 14 st.Decode.st_uops;
-      Alcotest.(check int) "slots = uops - pairs" 10 st.Decode.st_slots;
-      Alcotest.(check int) "accounting blocks" 3 st.Decode.st_blocks;
-      Alcotest.(check (array int)) "one static pair of each kind"
-        [| 1; 1; 1; 1 |] st.Decode.st_fused);
-  with_flags ~fuse:true ~batch:false (fun () ->
-      let st = Decode.stats (Decode.compile (snippet ())) in
-      Alcotest.(check int) "batch off: one block per slot" 10
-        st.Decode.st_blocks);
-  with_flags ~fuse:false ~batch:true (fun () ->
-      let st = Decode.stats (Decode.compile (snippet ())) in
-      Alcotest.(check int) "fuse off: one slot per uop" 14 st.Decode.st_slots;
-      Alcotest.(check (array int)) "fuse off: no static pairs"
-        [| 0; 0; 0; 0 |] st.Decode.st_fused;
-      Alcotest.(check int) "fuse off: same blocks" 3 st.Decode.st_blocks)
-
-let test_cache_hit_and_flag_recompile () =
-  let code = snippet () in
-  with_flags (fun () ->
-      let p1 = Decode.get code in
-      Alcotest.(check bool) "second get is a cache hit" true
-        (p1 == Decode.get code);
-      Decode.set_fuse (Some false);
-      let p2 = Decode.get code in
-      Alcotest.(check bool) "flag flip recompiles" true (p2 != p1);
-      Alcotest.(check int) "recompiled without fusion" 14
-        (Decode.stats p2).Decode.st_slots;
-      Alcotest.(check bool) "new program is cached in turn" true
-        (p2 == Decode.get code);
-      Decode.set_fuse None;
-      let p3 = Decode.get code in
-      Alcotest.(check bool) "restoring flags recompiles again" true
-        (p3 != p2);
-      Alcotest.(check int) "fusion is back" 10 (Decode.stats p3).Decode.st_slots)
+  let st = Decode.stats (Decode.compile (snippet ())) in
+  Alcotest.(check int) "micro-ops" 14 st.Decode.st_uops;
+  Alcotest.(check int) "slots = uops - pairs" 10 st.Decode.st_slots;
+  Alcotest.(check int) "accounting blocks" 3 st.Decode.st_blocks;
+  Alcotest.(check (array int)) "one static pair of each kind" [| 1; 1; 1; 1 |]
+    st.Decode.st_fused
 
 let test_fresh_code_invalidation () =
-  (* Recompilation always builds a fresh [Code.t], so a stale program
-     cannot be served; the fresh object re-runs the fusion pass from
-     scratch and reaches the same static coverage. *)
-  with_flags (fun () ->
-      let c1 = snippet () in
-      let p1 = Decode.get c1 in
-      let c2 = snippet () in
-      let p2 = Decode.get c2 in
-      Alcotest.(check bool) "fresh code object, fresh program" true (p2 != p1);
-      Alcotest.(check (array int)) "fusion re-ran on the fresh body"
-        (Decode.stats p1).Decode.st_fused (Decode.stats p2).Decode.st_fused;
-      Alcotest.(check int) "same slot count" (Decode.stats p1).Decode.st_slots
-        (Decode.stats p2).Decode.st_slots)
+  (* A cached program is reused for its code object.  Recompilation
+     always builds a fresh [Code.t], so a stale program cannot be
+     served; the fresh object re-runs the fusion pass from scratch and
+     reaches the same static coverage. *)
+  let c1 = snippet () in
+  let p1 = Decode.get c1 in
+  Alcotest.(check bool) "second get is a cache hit" true (p1 == Decode.get c1);
+  let p2 = Decode.get (snippet ()) in
+  Alcotest.(check bool) "fresh code object, fresh program" true (p2 != p1);
+  Alcotest.(check (array int)) "fusion re-ran on the fresh body"
+    (Decode.stats p1).Decode.st_fused (Decode.stats p2).Decode.st_fused;
+  Alcotest.(check int) "same slot count" (Decode.stats p1).Decode.st_slots
+    (Decode.stats p2).Decode.st_slots
 
 let test_dynamic_coverage () =
   (* 4 loop iterations x 4 fused pairs = 16 pair executions (32 fused
      retired instructions); blocks charged: prologue + 4 loop bodies +
-     epilogue = 6. *)
-  with_flags ~fuse:true ~batch:true (fun () ->
-      let cpu = Cpu.create Cpu.fast_arm64 in
-      (match Decode.run cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||]
-       with
-      | Exec.Done v -> Alcotest.(check int) "fused semantics intact" 8 v
-      | _ -> Alcotest.fail "expected Done");
-      let fs = cpu.Cpu.fstats in
-      Alcotest.(check int) "fused retired" 32 fs.Perf.fused_retired;
-      Alcotest.(check (array int)) "pair executions by kind"
-        [| 4; 4; 4; 4 |] fs.Perf.fused_by_kind;
-      Alcotest.(check int) "batched block charges" 6 fs.Perf.batched_blocks);
-  with_flags ~fuse:true ~batch:false (fun () ->
-      let cpu = Cpu.create Cpu.fast_arm64 in
-      ignore (Decode.run cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||]);
-      Alcotest.(check int) "batch off: no batched charges" 0
-        cpu.Cpu.fstats.Perf.batched_blocks;
-      Alcotest.(check int) "batch off: fusion still live" 32
-        cpu.Cpu.fstats.Perf.fused_retired)
+     epilogue = 6.  The batched integer counters equal the direct
+     interpreter's per-instruction ones. *)
+  let run engine =
+    Exec.set_engine (Some engine);
+    Fun.protect
+      ~finally:(fun () -> Exec.set_engine None)
+      (fun () ->
+        let cpu = Cpu.create Cpu.fast_arm64 in
+        (match Exec.run cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||]
+         with
+        | Exec.Done v -> Alcotest.(check int) "fused semantics intact" 8 v
+        | _ -> Alcotest.fail "expected Done");
+        cpu)
+  in
+  let direct = run Exec.Direct and cpu = run Exec.Decoded in
+  let fs = cpu.Cpu.fstats in
+  Alcotest.(check int) "fused retired" 32 fs.Perf.fused_retired;
+  Alcotest.(check (array int)) "pair executions by kind" [| 4; 4; 4; 4 |]
+    fs.Perf.fused_by_kind;
+  Alcotest.(check int) "batched block charges" 6 fs.Perf.batched_blocks;
+  Alcotest.(check string) "counters equal direct's"
+    (Digest.to_hex (Digest.string (Marshal.to_string direct.Cpu.counters [])))
+    (Digest.to_hex (Digest.string (Marshal.to_string cpu.Cpu.counters [])))
 
 (* ---------------- predictor hot path ---------------- *)
 
@@ -197,8 +161,6 @@ let suite =
       [
         Alcotest.test_case "static pairing on a known snippet" `Quick
           test_static_pairing;
-        Alcotest.test_case "cache hit + flag-keyed recompile" `Quick
-          test_cache_hit_and_flag_recompile;
         Alcotest.test_case "fresh code object invalidates" `Quick
           test_fresh_code_invalidation;
         Alcotest.test_case "dynamic fusion/batching counters" `Quick

@@ -32,29 +32,13 @@ function bench() {
 |};
   }
 
-let run_with ?fuse ?batch engine ~arch ~seed variant b =
+let run_with engine ~arch ~seed variant b =
   Exec.set_engine (Some engine);
-  Decode.set_fuse fuse;
-  Decode.set_batch batch;
   Fun.protect
-    ~finally:(fun () ->
-      Exec.set_engine None;
-      Decode.set_fuse None;
-      Decode.set_batch None)
+    ~finally:(fun () -> Exec.set_engine None)
     (fun () ->
       let config = Experiments.Common.config_for ~arch ~seed variant in
       Experiments.Harness.run ~iterations:iters ~config b)
-
-(* Every decoded-engine configuration — fused+batched (the default),
-   fusion only, batching only, and both escape hatches engaged — must
-   digest-equal the direct interpreter. *)
-let decoded_configs =
-  [
-    ("decoded", true, true);
-    ("decoded-nofuse", false, true);
-    ("decoded-nobatch", true, false);
-    ("decoded-plain", false, false);
-  ]
 
 let check_cell ?(expect_deopts = false) ~arch ~seed variant b =
   let label =
@@ -62,23 +46,17 @@ let check_cell ?(expect_deopts = false) ~arch ~seed variant b =
       (Experiments.Common.variant_name variant)
   in
   let direct = run_with Exec.Direct ~arch ~seed variant b in
-  List.iter
-    (fun (cname, fuse, batch) ->
-      let decoded =
-        run_with ~fuse ~batch Exec.Decoded ~arch ~seed variant b
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "%s: direct and %s results digest-equal" label cname)
-        (digest direct) (digest decoded);
-      Alcotest.(check (option string))
-        (Printf.sprintf "%s: no error (%s)" label cname)
-        None decoded.Experiments.Harness.error;
-      if expect_deopts then
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: benchmark deopted (%s)" label cname)
-          true
-          (decoded.Experiments.Harness.counters.Perf.deopt_events > 0))
-    decoded_configs
+  let decoded = run_with Exec.Decoded ~arch ~seed variant b in
+  Alcotest.(check string)
+    (label ^ ": direct and decoded results digest-equal")
+    (digest direct) (digest decoded);
+  Alcotest.(check (option string))
+    (label ^ ": no error") None decoded.Experiments.Harness.error;
+  if expect_deopts then
+    Alcotest.(check bool)
+      (label ^ ": benchmark deopted")
+      true
+      (decoded.Experiments.Harness.counters.Perf.deopt_events > 0)
 
 let bench id = Option.get (Workloads.Suite.by_id id)
 

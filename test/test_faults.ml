@@ -17,6 +17,7 @@ let isolated f () =
     Unix.putenv "VSPEC_CACHE_DIR" "off";
     Unix.putenv "VSPEC_MAX_CYCLES" "";
     Unix.putenv "VSPEC_RETRIES" "";
+    Unix.putenv "VSPEC_VERIFY" "";
     Experiments.Common.clear_memo ();
     Fault.Ledger.clear ()
   in
@@ -201,51 +202,42 @@ let straight_spin () =
             })
     @ [ Insn.B 0 ])
 
-let run_spin_config ~fuse ~batch code =
-  Exec.set_engine (Some Exec.Decoded);
-  Decode.set_fuse (Some fuse);
-  Decode.set_batch (Some batch);
+let run_straight_spin engine =
+  Exec.set_engine (Some engine);
   Fun.protect
-    ~finally:(fun () ->
-      Exec.set_engine None;
-      Decode.set_fuse None;
-      Decode.set_batch None)
+    ~finally:(fun () -> Exec.set_engine None)
     (fun () ->
       let cpu = Cpu.create Cpu.fast_arm64 in
       Cpu.arm_watchdog cpu ~cycles:10_000.0;
       match
-        Exec.run cpu ~host:(null_host (Array.make 8 0)) ~code ~args:[||]
+        Exec.run cpu
+          ~host:(null_host (Array.make 8 0))
+          ~code:(straight_spin ()) ~args:[||]
       with
       | _ -> Alcotest.fail "watchdog did not trip"
       | exception e -> (cpu, e))
 
 let test_watchdog_batched_payload () =
   (* Mid-block fuel exhaustion must raise the exact same typed fault —
-     same [what], same [limit] — in every engine configuration. *)
-  List.iter
-    (fun (fuse, batch) ->
-      let _, e = run_spin_config ~fuse ~batch (straight_spin ()) in
-      Alcotest.(check bool)
-        (Printf.sprintf "exact Runaway payload (fuse=%b batch=%b)" fuse batch)
-        true
-        (e = Fault.Fault (Fault.Runaway { what = "spin"; limit = 10_000.0 })))
-    [ (true, true); (false, true); (true, false); (false, false) ]
+     same [what], same [limit] — as the direct engine's per-instruction
+     check. *)
+  let expected =
+    Fault.Fault (Fault.Runaway { what = "spin"; limit = 10_000.0 })
+  in
+  let _, direct = run_straight_spin Exec.Direct in
+  let _, decoded = run_straight_spin Exec.Decoded in
+  Alcotest.(check bool) "direct: exact Runaway payload" true (direct = expected);
+  Alcotest.(check bool) "decoded: same payload" true (decoded = expected)
 
 let test_watchdog_overshoot_bounded () =
   (* The block-entry fuel check runs before the block's charge, so the
      dispatch pointer can pass the ceiling by at most one straight-line
-     block — ten micro-ops here, well under 32 cycles on the fast ARM64
-     model — never by an unbounded amount. *)
-  List.iter
-    (fun (fuse, batch) ->
-      let cpu, _ = run_spin_config ~fuse ~batch (straight_spin ()) in
-      let now = cpu.Cpu.clk.Cpu.now in
-      Alcotest.(check bool)
-        (Printf.sprintf "overshoot within one block (fuse=%b batch=%b)" fuse
-           batch)
-        true
-        (now > 0.0 && now <= 10_000.0 +. 32.0))
-    [ (true, true); (true, false) ]
+     block — nine micro-ops here, well under 32 cycles on the fast
+     ARM64 model — never by an unbounded amount. *)
+  let cpu, _ = run_straight_spin Exec.Decoded in
+  let now = cpu.Cpu.clk.Cpu.now in
+  Alcotest.(check bool) "overshoot within one block" true
+    (now > 0.0 && now <= 10_000.0 +. 32.0)
 
 let test_watchdog_disarmed_is_free () =
   (* A terminating code object under an armed watchdog is unaffected. *)
@@ -293,6 +285,20 @@ let test_harness_watchdog () =
   with
   | _ -> Alcotest.fail "watchdog did not trip"
   | exception Fault.Fault (Fault.Runaway _) -> ()
+
+(* ---------------- checksum verification ---------------- *)
+
+let test_verify_stateful_benchmark () =
+  (* NS carries state across iterations, so its checksum depends on the
+     iteration count: a 5-iteration cell must verify against a
+     5-iteration interpreter run, not the 3-iteration reference. *)
+  Unix.putenv "VSPEC_VERIFY" "1";
+  match
+    Experiments.Common.run_result ~iterations:5 ~arch:Arch.Arm64 ~seed:1
+      Experiments.Common.V_normal (bench "NS")
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("verify failed: " ^ Fault.describe e)
 
 (* ---------------- regex backtracking bail-out ---------------- *)
 
@@ -491,6 +497,7 @@ let suite =
         tc "watchdog arm/disarm" test_watchdog_disarmed_is_free;
         tc "pool survives runaway job" test_pool_survives_runaway;
         tc "harness-level watchdog" test_harness_watchdog;
+        tc "verify stateful benchmark" test_verify_stateful_benchmark;
         tc "regex runaway typed" test_regex_runaway_typed;
         tc "corrupt cache entry quarantined" test_corrupt_entry_quarantined;
         tc "unusable cache dir degrades" test_unusable_cache_dir_degrades;

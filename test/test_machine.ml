@@ -542,37 +542,116 @@ let test_float_mem_second_word_bounds () =
             [ ("ldr_f", ldr_f); ("str_f", str_f) ]))
     [ (Exec.Direct, "direct"); (Exec.Decoded, "decoded") ]
 
-(* Same program, fresh CPUs: both engines must agree on the outcome and
-   on the complete timing/counter state. *)
+(* Same program, fresh CPUs: both engines must agree on the outcome (or
+   the machine fault) and on the complete timing/counter state.  Besides
+   a plain loop, two programs leave a batched block early from inside a
+   fused pair, where the decoded engine must refund the unexecuted
+   block suffix exactly: a deopt taken in a check + deopt_if pair, and
+   a fault in the load half of a load + untag pair. *)
 let test_engines_bit_identical () =
-  let insns =
-    [ Insn.Mov (0, Insn.Imm 0);
-      Insn.Mov (1, Insn.Imm 0) (* address cursor *);
-      Insn.Mov (2, Insn.Imm 40) (* iterations *);
-      Insn.Label 0;
-      Insn.Ldr (3, Insn.mk_addr 1);
-      Insn.Alu { op = Insn.Add; dst = 0; src = 0; rhs = Insn.Reg 3; set_flags = false };
-      Insn.Str (Insn.mk_addr ~offset:2 1, 0);
-      Insn.Alu { op = Insn.Add; dst = 1; src = 1; rhs = Insn.Imm 4; set_flags = false };
-      Insn.Alu { op = Insn.Sub; dst = 2; src = 2; rhs = Insn.Imm 1; set_flags = true };
-      Insn.Bcond (Insn.Ne, 0);
-      Insn.Ret ]
+  let alu ?(set_flags = false) op dst src rhs =
+    Insn.Alu { op; dst; src; rhs; set_flags }
   in
-  let measure engine =
+  let check role k =
+    Insn.make ~prov:(Insn.Check { group = Insn.G_boundary; role }) k
+  in
+  let plain = List.map Insn.make in
+  let loop =
+    plain
+      [ Insn.Mov (0, Insn.Imm 0);
+        Insn.Mov (1, Insn.Imm 0) (* address cursor *);
+        Insn.Mov (2, Insn.Imm 40) (* iterations *);
+        Insn.Label 0;
+        Insn.Ldr (3, Insn.mk_addr 1);
+        alu Insn.Add 0 0 (Insn.Reg 3);
+        Insn.Str (Insn.mk_addr ~offset:2 1, 0);
+        alu Insn.Add 1 1 (Insn.Imm 4);
+        alu ~set_flags:true Insn.Sub 2 2 (Insn.Imm 1);
+        Insn.Bcond (Insn.Ne, 0);
+        Insn.Ret ]
+  in
+  (* The check fires on the fourth iteration, mid-block, with a store,
+     an ALU op and the return still ahead in the block. *)
+  let fused_deopt =
+    plain
+      [ Insn.Mov (0, Insn.Imm 0);
+        Insn.Mov (1, Insn.Imm 0);
+        Insn.Mov (2, Insn.Imm 6);
+        Insn.Label 0;
+        Insn.Ldr (3, Insn.mk_addr 1);
+        alu Insn.Add 0 0 (Insn.Reg 3) ]
+    @ [ check Insn.Role_condition (Insn.Cmp (2, Insn.Imm 3));
+        check Insn.Role_branch (Insn.Deopt_if (Insn.Eq, 0)) ]
+    @ plain
+        [ Insn.Str (Insn.mk_addr ~offset:2 1, 0);
+          alu Insn.Add 1 1 (Insn.Imm 4);
+          alu ~set_flags:true Insn.Sub 2 2 (Insn.Imm 1);
+          Insn.Bcond (Insn.Ne, 0);
+          Insn.Ret ]
+  in
+  (* The load faults on an unaligned address after it has issued; its
+     untag partner, an ALU op and the return are never executed. *)
+  let fused_fault =
+    plain
+      [ Insn.Mov (0, Insn.Imm 0);
+        Insn.Mov (1, Insn.Imm 3);
+        alu Insn.Add 2 0 (Insn.Imm 5);
+        Insn.Ldr (3, Insn.mk_addr 1);
+        alu Insn.Asr 3 3 (Insn.Imm 1);
+        alu Insn.Add 0 0 (Insn.Reg 3);
+        Insn.Ret ]
+  in
+  let deopts =
+    [| { Code.dp_id = 0; reason = Insn.Out_of_bounds; bc_pc = 0;
+         frame = [||]; accumulator = Code.Fv_dead } |]
+  in
+  let assemble insns =
+    Code.assemble ~code_id:0 ~name:"test" ~arch:Arch.Arm64 ~deopts
+      ~gp_slots:4 ~fp_slots:4 ~base_addr:0x100 insns
+  in
+  let measure engine insns =
     with_engine engine (fun () ->
         let memory = Array.init 256 (fun i -> (i * 7) land 0xFF) in
-        let cpu, outcome = run ~memory insns in
+        let cpu = Cpu.create Cpu.fast_arm64 in
+        let outcome =
+          match
+            Exec.run cpu ~host:(null_host memory) ~code:(assemble insns)
+              ~args:[||]
+          with
+          | o -> Ok o
+          | exception Exec.Machine_fault msg -> Error msg
+        in
         ( outcome,
           Cpu.cycles cpu,
           Digest.string (Marshal.to_string cpu.Cpu.counters []),
           Digest.string (Marshal.to_string memory []) ))
   in
-  let o1, c1, k1, m1 = measure Exec.Direct in
-  let o2, c2, k2, m2 = measure Exec.Decoded in
-  Alcotest.(check bool) "same outcome" true (o1 = o2);
-  Alcotest.(check (float 0.0)) "same cycle count" c1 c2;
-  Alcotest.(check string) "same counters" (Digest.to_hex k1) (Digest.to_hex k2);
-  Alcotest.(check string) "same memory" (Digest.to_hex m1) (Digest.to_hex m2)
+  List.iter
+    (fun (name, insns, fused_kind, expect) ->
+      if fused_kind >= 0 then
+        Alcotest.(check int)
+          (name ^ ": pair is fused")
+          1
+          (Decode.stats (Decode.compile (assemble insns))).Decode.st_fused
+            .(fused_kind);
+      let o1, c1, k1, m1 = measure Exec.Direct insns in
+      let o2, c2, k2, m2 = measure Exec.Decoded insns in
+      Alcotest.(check bool) (name ^ ": expected exit") true (expect o1);
+      Alcotest.(check bool) (name ^ ": same outcome") true (o1 = o2);
+      Alcotest.(check (float 0.0)) (name ^ ": same cycle count") c1 c2;
+      Alcotest.(check string) (name ^ ": same counters") (Digest.to_hex k1)
+        (Digest.to_hex k2);
+      Alcotest.(check string) (name ^ ": same memory") (Digest.to_hex m1)
+        (Digest.to_hex m2))
+    [ ("loop", loop, -1, function Ok (Exec.Done _) -> true | _ -> false);
+      ( "fused deopt",
+        fused_deopt,
+        Perf.f_check_deopt,
+        function Ok (Exec.Deopt _) -> true | _ -> false );
+      ( "fused fault",
+        fused_fault,
+        Perf.f_load_untag,
+        function Error _ -> true | Ok _ -> false ) ]
 
 let extra_suite =
   [ ( "jschkmap",

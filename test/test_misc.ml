@@ -327,7 +327,54 @@ let test_extra_builtins () =
   check "acos(1)" "0" "Math.acos(1)";
   check "log2(8)" "3" "Math.log2(8)"
 
+(* ---------------- README knob table ---------------- *)
+
+(* The environment variables the program reads ("VSPEC_*" string
+   literals under lib/, bin/ and bench/) and the rows of README's knob
+   table must name the same set, so a deleted knob cannot leave a stale
+   row behind and a new one cannot go undocumented.  The sources are
+   dune deps of the test; the root is the build tree's copy, or the
+   checkout when the binary runs from the repository root. *)
+let test_readme_knob_table () =
+  let root = if Sys.file_exists "../README.md" then ".." else "." in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let rec sources dir =
+    List.concat_map
+      (fun f ->
+        let p = Filename.concat dir f in
+        if Sys.is_directory p then sources p
+        else if Filename.check_suffix f ".ml" then [ read p ]
+        else [])
+      (Array.to_list (Sys.readdir dir))
+  in
+  let names re text =
+    let rec go pos acc =
+      match Str.search_forward re text pos with
+      | _ -> go (Str.match_end ()) (Str.matched_group 1 text :: acc)
+      | exception Not_found -> acc
+    in
+    List.sort_uniq compare (go 0 [])
+  in
+  let read_by_code =
+    List.concat_map
+      (fun d -> sources (Filename.concat root d))
+      [ "lib"; "bin"; "bench" ]
+    |> String.concat "\n"
+    |> names (Str.regexp {|"\(VSPEC_[A-Z0-9_]+\)"|})
+  in
+  let rows =
+    names
+      (Str.regexp {|^| `\(VSPEC_[A-Z0-9_]+\)`|})
+      (read (Filename.concat root "README.md"))
+  in
+  Alcotest.(check bool) "code reads some knobs" true (read_by_code <> []);
+  Alcotest.(check (list string)) "README rows = variables read" read_by_code
+    rows
+
 let extra_suite =
-  [ ("builtins-extra", [ Alcotest.test_case "extras" `Quick test_extra_builtins ]) ]
+  [ ("builtins-extra", [ Alcotest.test_case "extras" `Quick test_extra_builtins ]);
+    ( "docs",
+      [ Alcotest.test_case "README knob table matches the code" `Quick
+          test_readme_knob_table ] ) ]
 
 let suite = base_suite @ prop_suite @ extra_suite

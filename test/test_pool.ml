@@ -152,6 +152,33 @@ let test_memo_distinct_keys () =
   Support.Pool.Memo.clear m;
   Alcotest.(check int) "cleared" 0 (Support.Pool.Memo.length m)
 
+let test_env_knobs_across_domains () =
+  (* The engine, regex-budget and verify accessors are read from every
+     pool domain; none may fail when several domains reach them at the
+     same instant (a shared [lazy] would raise
+     [CamlinternalLazy.Undefined] in all but one). *)
+  let n = 4 in
+  let ready = Atomic.make 0 in
+  let values () =
+    ( Exec.current_engine (),
+      Regex.step_limit (),
+      Experiments.Common.verify_enabled () )
+  in
+  let read () =
+    Atomic.incr ready;
+    while Atomic.get ready < n do
+      Domain.cpu_relax ()
+    done;
+    values ()
+  in
+  let expected = values () in
+  let domains = List.init n (fun _ -> Domain.spawn read) in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "same values in every domain" true
+        (Domain.join d = expected))
+    domains
+
 let suite =
   [
     ( "pool",
@@ -163,6 +190,8 @@ let suite =
         Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
         Alcotest.test_case "exception (jobs=1)" `Quick test_exception_jobs1;
         Alcotest.test_case "VSPEC_JOBS knob" `Quick test_default_jobs_env;
+        Alcotest.test_case "env knobs read from racing domains" `Quick
+          test_env_knobs_across_domains;
       ] );
     ( "pool-memo",
       [

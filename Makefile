@@ -10,11 +10,12 @@ build:
 test:
 	dune runtest
 
-# Smoke check: build + tier-1 tests + one fast figure under VSPEC_JOBS=2.
+# Smoke check: build + tier-1 tests + the fast figures under VSPEC_JOBS=2.
 quick:
 	dune build @quick
 
-# Full figure suite + timing report (BENCH_suite.json).
+# Full figure suite + timing report (BENCH_suite.json); does not touch
+# BENCH_exec.json (that is `bench-exec`).
 bench:
 	dune exec bench/main.exe
 

@@ -1,100 +1,14 @@
 (* The full reproduction harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (fig1..fig14 plus the paper-vs-measured summary) through the
-   experiment registry.
-
-   Part 2 is a Bechamel micro-benchmark suite of the reproduction's own
-   moving parts — one Test.make per experiment-relevant component
-   (interpreter iteration, optimized iteration per ISA, graph building,
-   GC) — so regressions in the simulator itself are visible.
+   Without arguments it regenerates every table and figure of the
+   paper's evaluation (fig1..fig14 plus the paper-vs-measured summary)
+   through the experiment registry.  With [--exec] it runs only the
+   execution-engine micro-benchmarks below and writes BENCH_exec.json.
 
    Knobs: VSPEC_ITERS (default 200), VSPEC_REPS (default 5), VSPEC_BENCH
-   (comma-separated ids), VSPEC_SKIP_MICRO=1 to skip the Bechamel part,
-   VSPEC_JOBS (domain-pool size), VSPEC_CACHE_DIR (persistent result
-   cache, "off" to disable), VSPEC_BENCH_OUT (timing report path). *)
-
-open Bechamel
-open Toolkit
-
-let engine_for ?(opt = true) ?(arch = Arch.Arm64) src =
-  let cfg = Engine.default_config ~arch () in
-  let cfg = { cfg with Engine.enable_optimizer = opt } in
-  let eng = Engine.create cfg src in
-  let _ = Engine.run_main eng in
-  eng
-
-let warmed ?(arch = Arch.Arm64) src =
-  let eng = engine_for ~arch src in
-  for _ = 1 to 12 do
-    ignore (Engine.call_global eng "bench" [||])
-  done;
-  eng
-
-let micro_tests () =
-  let dp = (Option.get (Workloads.Suite.by_id "DP")).Workloads.Suite.source in
-  let rich = (Option.get (Workloads.Suite.by_id "RICH")).Workloads.Suite.source in
-  let interp_engine = engine_for ~opt:false dp in
-  let jit_arm = warmed dp in
-  let jit_x64 = warmed ~arch:Arch.X64 dp in
-  let jit_ext = warmed ~arch:Arch.Arm64_smi_ext dp in
-  let jit_rich = warmed rich in
-  let compile_engine = warmed dp in
-  let rt = Engine.runtime compile_engine in
-  let dot_f =
-    let h = rt.Runtime.heap in
-    let v = Heap.cell_value h (Heap.global_cell h "dot") in
-    Runtime.func rt (Heap.function_id_of h v)
-  in
-  let gc_heap = Heap.create ~size_words:(1 lsl 18) () in
-  Test.make_grouped ~name:"vspec"
-    [
-      Test.make ~name:"interp-iteration-DP"
-        (Staged.stage (fun () -> Engine.call_global interp_engine "bench" [||]));
-      Test.make ~name:"jit-iteration-DP-arm64"
-        (Staged.stage (fun () -> Engine.call_global jit_arm "bench" [||]));
-      Test.make ~name:"jit-iteration-DP-x64"
-        (Staged.stage (fun () -> Engine.call_global jit_x64 "bench" [||]));
-      Test.make ~name:"jit-iteration-DP-smiext"
-        (Staged.stage (fun () -> Engine.call_global jit_ext "bench" [||]));
-      Test.make ~name:"jit-iteration-RICH-arm64"
-        (Staged.stage (fun () -> Engine.call_global jit_rich "bench" [||]));
-      Test.make ~name:"graph-build-DP"
-        (Staged.stage (fun () ->
-             Turbofan.Graph_builder.build
-               (Turbofan.Graph_builder.default_config Arch.Arm64)
-               rt dot_f));
-      Test.make ~name:"mark-sweep-gc"
-        (Staged.stage (fun () ->
-             for _ = 1 to 50 do
-               ignore (Heap.alloc_string gc_heap "transient garbage payload")
-             done;
-             Heap.gc gc_heap));
-    ]
-
-let run_micro () =
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] (micro_tests ()) in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Support.Table.section "Simulator micro-benchmarks (host-side, Bechamel)";
-  let t =
-    Support.Table.create ~title:"nanoseconds per call (OLS estimate)"
-      ~columns:[ "component"; "ns/run" ]
-  in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some [ e ] -> Printf.sprintf "%.0f" e
-        | _ -> "n/a"
-      in
-      Support.Table.add_row t [ name; est ])
-    results;
-  Support.Table.print t
+   (comma-separated ids), VSPEC_JOBS (domain-pool size), VSPEC_CACHE_DIR
+   (persistent result cache, "off" to disable), VSPEC_BENCH_OUT (timing
+   report path). *)
 
 (* ------------------------------------------------------------------ *)
 (* Execution-engine micro-benchmarks (`--exec`, `make bench-exec`)     *)
@@ -459,8 +373,4 @@ let () =
     (Experiments.Common.repetitions ())
     (List.length (Experiments.Common.suite ()));
   Printf.eprintf "[vspec] jobs=%d\n%!" (Support.Pool.default_jobs ());
-  Experiments.Registry.run_all ();
-  if Sys.getenv_opt "VSPEC_SKIP_MICRO" = None then begin
-    run_micro ();
-    run_exec_bench ()
-  end
+  Experiments.Registry.run_all ()

@@ -8,9 +8,9 @@
    report path, default BENCH_suite.json).
 
    Fault-handling knobs: VSPEC_MAX_CYCLES (watchdog cycle budget per
-   engine entry, "off" to disable), VSPEC_RETRIES / VSPEC_RETRY_BACKOFF_MS
-   (transient-fault retry policy), VSPEC_FAULTS (deterministic fault
-   injection, site:rate:seed[:keyfilter] comma-list), VSPEC_VERIFY
+   engine entry, "off" to disable), VSPEC_RETRIES (transient-fault
+   retry budget), VSPEC_FAULTS (deterministic fault injection,
+   site:rate:seed[:keyfilter] comma-list), VSPEC_VERIFY
    (checksum cells against the interpreter-only reference),
    VSPEC_REGEX_STEPS (regex backtracking budget).
 

@@ -313,45 +313,36 @@ let verify_enabled () =
   | Some ("1" | "on" | "true" | "yes") -> true
   | _ -> false
 
-(* [run_result] is the one entry point that actually simulates: it
-   checks the negative cache, then computes under single-flight memo
-   semantics with the full containment stack — fault injection at the
-   [sim] site, bounded retries for transient classes, optional checksum
-   verification, ledger recording.  A producer that fails records the
-   failure *before* raising so the memo waiters that get promoted find
-   the negative-cache entry and fail fast instead of re-simulating. *)
-let rec run_result ?cpu ?iterations:iters ~arch ~seed variant bench =
-  let iters = match iters with Some i -> i | None -> iterations () in
-  let cpu_name =
-    match cpu with Some c -> c.Cpu.cfg_name | None -> "default"
-  in
-  let key =
-    Printf.sprintf "%s|%s|%s|%d|%d|%s" bench.Workloads.Suite.id
-      (Arch.name arch) (variant_name variant) seed iters cpu_name
-  in
+(* The containment protocol every simulated cell runs under: the
+   negative cache answers a cell that already failed; otherwise the
+   cell computes under single-flight memo semantics with fault
+   injection at the [sim] site, bounded retries for transient classes,
+   the disk cache and ledger recording.  A producer that fails records
+   the failure *before* raising so the memo waiters that get promoted
+   find the negative-cache entry and fail fast instead of
+   re-simulating. *)
+let guarded memo ~kind ~key ~config ~iters bench compute =
   match failure_for key with
   | Some (err, _) -> Error err
   | None -> (
     try
       Ok
-        (Support.Pool.Memo.find_or_compute cache key (fun () ->
+        (Support.Pool.Memo.find_or_compute memo key (fun () ->
              match failure_for key with
              | Some (err, _) -> raise (Support.Fault.Fault err)
              | None -> (
-               let config = config_for ?cpu ~arch ~seed variant in
                match
                  Support.Fault.guard
                    ~inject:(Support.Fault.Inject.Sim, key)
                    (fun ~attempt ->
-                     match disk_load ~kind:"run" ~config ~iters ~attempt bench with
-                     | Some (r : Harness.result) ->
+                     match disk_load ~kind ~config ~iters ~attempt bench with
+                     | Some r ->
                        Atomic.incr disk_hits;
                        r
                      | None ->
                        Atomic.incr simulations;
-                       let r = Harness.run ~iterations:iters ~config bench in
-                       verify variant ~cell:key ~iters r bench;
-                       disk_store ~kind:"run" ~config ~iters ~attempt bench r;
+                       let r = compute () in
+                       disk_store ~kind ~config ~iters ~attempt bench r;
                        r)
                with
                | Ok r -> r
@@ -361,6 +352,23 @@ let rec run_result ?cpu ?iterations:iters ~arch ~seed variant bench =
     with Support.Fault.Fault err ->
       record_failure key err 1;
       Error err)
+
+(* [run_result] is the one entry point that runs {!Harness.run}, with
+   optional checksum verification inside the guarded computation. *)
+let rec run_result ?cpu ?iterations:iters ~arch ~seed variant bench =
+  let iters = match iters with Some i -> i | None -> iterations () in
+  let cpu_name =
+    match cpu with Some c -> c.Cpu.cfg_name | None -> "default"
+  in
+  let key =
+    Printf.sprintf "%s|%s|%s|%d|%d|%s" bench.Workloads.Suite.id
+      (Arch.name arch) (variant_name variant) seed iters cpu_name
+  in
+  let config = config_for ?cpu ~arch ~seed variant in
+  guarded cache ~kind:"run" ~key ~config ~iters bench (fun () ->
+      let r = Harness.run ~iterations:iters ~config bench in
+      verify variant ~cell:key ~iters r bench;
+      r)
 
 (* Checksum verification (opt-in via VSPEC_VERIFY) compares a run
    against an interpreter-only run of the same iteration count (several
@@ -405,46 +413,12 @@ let run_cached ?cpu ?iterations ~arch ~seed variant bench =
   | Error err -> raise (Support.Fault.Fault err)
 
 let removable_groups_result ~arch bench =
-  let key = bench.Workloads.Suite.id ^ "|" ^ Arch.name arch in
-  match failure_for key with
-  | Some (err, _) -> Error err
-  | None -> (
-    try
-      Ok
-        (Support.Pool.Memo.find_or_compute calib_cache key (fun () ->
-             match failure_for key with
-             | Some (err, _) -> raise (Support.Fault.Fault err)
-             | None -> (
-               let config = config_for ~arch ~seed:1 V_normal in
-               let iters = 60 in
-               match
-                 Support.Fault.guard
-                   ~inject:(Support.Fault.Inject.Sim, key)
-                   (fun ~attempt ->
-                     match
-                       disk_load ~kind:"calib" ~config ~iters ~attempt bench
-                     with
-                     | Some
-                         (r :
-                           Insn.check_group list * Insn.check_group list) ->
-                       Atomic.incr disk_hits;
-                       r
-                     | None ->
-                       Atomic.incr simulations;
-                       let r =
-                         Harness.calibrate_removable ~iterations:iters ~config
-                           bench
-                       in
-                       disk_store ~kind:"calib" ~config ~iters ~attempt bench r;
-                       r)
-               with
-               | Ok r -> r
-               | Error (err, attempts) ->
-                 record_failure key err attempts;
-                 raise (Support.Fault.Fault err))))
-    with Support.Fault.Fault err ->
-      record_failure key err 1;
-      Error err)
+  let config = config_for ~arch ~seed:1 V_normal in
+  let iters = 60 in
+  guarded calib_cache ~kind:"calib"
+    ~key:(bench.Workloads.Suite.id ^ "|" ^ Arch.name arch)
+    ~config ~iters bench
+    (fun () -> Harness.calibrate_removable ~iterations:iters ~config bench)
 
 let removable_groups ~arch bench =
   match removable_groups_result ~arch bench with

@@ -12,8 +12,8 @@
     already-simulated cells across processes.
 
     Fault containment: every cell computation runs under
-    {!Support.Fault.guard} — transient faults (injected, corrupt cache
-    entries) are retried with backoff; permanent failures land in the
+    {!Support.Fault.guard} — transient (injected) faults are retried
+    up to [VSPEC_RETRIES] times; permanent failures land in the
     {!Support.Fault.Ledger} and in a process-wide negative cache so
     later reads of the same cell fail fast.  Corrupt disk-cache entries
     are quarantined as [<digest>.corrupt]; an unusable cache directory

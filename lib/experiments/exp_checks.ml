@@ -75,11 +75,7 @@ let fig3 () =
     Common.degraded "fig3" @@ fun () ->
     let config = Common.config_for ~arch:Arch.Arm64 ~seed:1 Common.V_normal in
     let eng = Engine.create config b.Workloads.Suite.source in
-    Harness.watchdog eng ~calls:121;
-    let _ = Engine.run_main eng in
-    for _ = 1 to 120 do
-      ignore (Engine.call_global eng "bench" [||])
-    done;
+    Harness.drive eng ~calls:120;
     (match Engine.sampler eng with
     | None -> print_endline "sampler disabled"
     | Some s ->
@@ -190,11 +186,7 @@ let fig5 () =
     Common.degraded "fig5" @@ fun () ->
     let config = Common.config_for ~arch:Arch.Arm64 ~seed:1 Common.V_normal in
     let eng = Engine.create config b.Workloads.Suite.source in
-    Harness.watchdog eng ~calls:31;
-    let _ = Engine.run_main eng in
-    for _ = 1 to 30 do
-      ignore (Engine.call_global eng "bench" [||])
-    done;
+    Harness.drive eng ~calls:30;
     let rt = Engine.runtime eng in
     (* Rebuild the graph of the hottest compiled function for each
        removal scenario. *)

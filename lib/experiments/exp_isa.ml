@@ -16,11 +16,7 @@ let fig11 () =
     let listing arch =
       let config = Common.config_for ~arch ~seed:1 Common.V_normal in
       let eng = Engine.create config b.Workloads.Suite.source in
-      Harness.watchdog eng ~calls:31;
-      let _ = Engine.run_main eng in
-      for _ = 1 to 30 do
-        ignore (Engine.call_global eng "bench" [||])
-      done;
+      Harness.drive eng ~calls:30;
       Engine.compile_now eng "dot"
     in
     (match (listing Arch.Arm64, listing Arch.Arm64_smi_ext) with
@@ -83,11 +79,7 @@ function bench() {
   Common.degraded "fig12" @@ fun () ->
   let config = Common.config_for ~arch:Arch.Arm64 ~seed:1 Common.V_smi_ext in
   let eng = Engine.create config src in
-  Harness.watchdog eng ~calls:24;
-  let _ = Engine.run_main eng in
-  for _ = 1 to 20 do
-    ignore (Engine.call_global eng "bench" [||])
-  done;
+  Harness.drive eng ~calls:20;
   let h = (Engine.runtime eng).Runtime.heap in
   let before = Engine.call_global eng "bench" [||] in
   (* Poison the array with a heap number: the fused load's check fails

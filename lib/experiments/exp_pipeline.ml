@@ -33,11 +33,7 @@ let fig2 () =
   Common.degraded "fig2" @@ fun () ->
   let config = Common.config_for ~arch:Arch.Arm64 ~seed:1 Common.V_normal in
   let eng = Engine.create config sample_source in
-  Harness.watchdog eng ~calls:21;
-  let _ = Engine.run_main eng in
-  for _ = 1 to 20 do
-    ignore (Engine.call_global eng "bench" [||])
-  done;
+  Harness.drive eng ~calls:20;
   let rt = Engine.runtime eng in
   let h = rt.Runtime.heap in
   let v = Heap.cell_value h (Heap.global_cell h "dot") in

@@ -18,8 +18,6 @@ type result = {
   gc_runs : int;
 }
 
-let with_seed (cfg : Engine.config) seed = { cfg with Engine.seed }
-
 (* Watchdog fuel: a per-entry (setup or single benchmark iteration)
    cycle budget, read per run so tests can flip the env var.  The
    total allowance of a run therefore scales with its iteration count.
@@ -35,9 +33,15 @@ let max_cycles_per_call () =
     | _ -> 2e8)
   | None -> 2e8
 
-let watchdog eng ~calls =
-  Cpu.arm_watchdog (Engine.cpu eng)
-    ~cycles:(max_cycles_per_call () *. float_of_int (max 1 calls))
+let drive eng ~calls =
+  let cpu = Engine.cpu eng in
+  let budget = max_cycles_per_call () in
+  Cpu.arm_watchdog cpu ~cycles:budget;
+  let _ = Engine.run_main eng in
+  for _ = 1 to calls do
+    Cpu.arm_watchdog cpu ~cycles:budget;
+    ignore (Engine.call_global eng "bench" [||])
+  done
 
 (* Sample attribution over one code object.
 
@@ -275,15 +279,7 @@ let calibrate_removable ?(iterations = 100) ~config bench =
      groups must keep their checks (paper Section III-B2). *)
   let eng_fired =
     let eng = Engine.create config bench.Workloads.Suite.source in
-    let budget = max_cycles_per_call () in
-    (try
-       Cpu.arm_watchdog (Engine.cpu eng) ~cycles:budget;
-       let _ = Engine.run_main eng in
-       for _ = 1 to iterations do
-         Cpu.arm_watchdog (Engine.cpu eng) ~cycles:budget;
-         ignore (Engine.call_global eng "bench" [||])
-       done
-     with
+    (try drive eng ~calls:iterations with
     | Support.Fault.Fault _ as e -> raise e
     | _ -> ());
     Engine.deopt_counts eng

@@ -51,10 +51,13 @@ val max_cycles_per_call : unit -> float
     call): [VSPEC_MAX_CYCLES] if set ("0"/"off"/"none"/"" disables),
     default 2e8. *)
 
-val watchdog : Engine.t -> calls:int -> unit
-(** Arm the engine's CPU watchdog with [calls] call budgets from now.
-    Figure drivers that drive an engine directly (outside {!run}) use
-    this so runaway code objects still trip [Support.Fault.Runaway]. *)
+val drive : Engine.t -> calls:int -> unit
+(** [drive eng ~calls] runs the script's top level, then calls [bench]
+    [calls] times, arming a fresh {!max_cycles_per_call} budget before
+    each entry (the policy {!run} uses).  For figure drivers and
+    calibration that need the warmed engine rather than a {!result}:
+    a runaway code object raises [Support.Fault.Fault (Runaway _)];
+    any other exception propagates unchanged. *)
 
 val overhead_window : result -> float
 (** Fraction of JIT-code samples attributed to checks by the window
@@ -69,8 +72,6 @@ val group_freq_per_100 : result -> Insn.check_group -> float
 
 val steady_state_cycles : result -> float
 (** Mean cycles per iteration over the last third of the run. *)
-
-val with_seed : Engine.config -> int -> Engine.config
 
 val check_window_map : Code.t -> int array
 (** Per-instruction check-group index (-1 = main line) under the arch

@@ -94,6 +94,3 @@ let run ?jobs cells =
                  (c.c_bench.Workloads.Suite.id ^ "@" ^ Arch.name c.c_arch)
                "pool:job" (fun () -> ignore (execute c)))
            rest))
-
-let result ?cpu ?iters ~arch ~seed variant bench =
-  Common.run_cached ?cpu ?iterations:iters ~arch ~seed variant bench

@@ -43,8 +43,3 @@ val run : ?jobs:int -> cell list -> unit
     runs; the failure is ledgered and negative-cached by {!Common} and
     surfaces (as a missing figure cell) when the driver body re-reads
     the caches. *)
-
-val result :
-  ?cpu:Cpu.config -> ?iters:int -> arch:Arch.t -> seed:int ->
-  Common.variant -> Workloads.Suite.benchmark -> Harness.result
-(** Convenience re-read of a planned cell ({!Common.run_cached}). *)

@@ -1,7 +1,6 @@
 type record = { figure : string; seconds : float; jobs : int }
 
 let records : record list ref = ref []
-let reset () = records := []
 
 let timed figure f =
   let jobs = Support.Pool.default_jobs () in

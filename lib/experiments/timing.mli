@@ -15,5 +15,3 @@ val write_report : unit -> unit
 (** Write all recordings so far as JSON:
     [{"jobs": n, "total_seconds": s, "figures": [{"figure", "seconds",
     "jobs"}, ...]}].  No-op if nothing was recorded. *)
-
-val reset : unit -> unit

@@ -179,13 +179,6 @@ let env_int name default =
 
 let max_retries () = env_int "VSPEC_RETRIES" 2
 
-let backoff_cap = 0.050 (* seconds *)
-
-let backoff attempt =
-  let base = float_of_int (env_int "VSPEC_RETRY_BACKOFF_MS" 1) /. 1000.0 in
-  let d = Float.min backoff_cap (base *. (2.0 ** float_of_int attempt)) in
-  if d > 0.0 then Unix.sleepf d
-
 let guard ?retries ?inject f =
   let retries = match retries with Some r -> max 0 r | None -> max_retries () in
   let rec go attempt =
@@ -201,9 +194,7 @@ let guard ?retries ?inject f =
     in
     match outcome with
     | Ok v -> Ok v
-    | Error e when is_transient e && attempt < retries ->
-      backoff attempt;
-      go (attempt + 1)
+    | Error e when is_transient e && attempt < retries -> go (attempt + 1)
     | Error e -> Error (e, attempt + 1)
   in
   go 0

@@ -3,7 +3,7 @@
 
     Long experiment sweeps must survive a bad cell: every failure is
     classified into one of five structured error classes; transient
-    classes are retried with capped exponential backoff, permanent ones
+    classes are retried a bounded number of times, permanent ones
     land in the {!Ledger} and the affected figure cell renders as
     missing.  A seeded injection layer ({!Inject}, [VSPEC_FAULTS]) can
     fire synthetic faults at the four fault sites deterministically so
@@ -77,18 +77,13 @@ end
 val max_retries : unit -> int
 (** Retry budget for transient faults ([VSPEC_RETRIES], default 2). *)
 
-val backoff : int -> unit
-(** Sleep the capped exponential backoff delay for retry [attempt]
-    (base [VSPEC_RETRY_BACKOFF_MS], default 1 ms, doubled per attempt,
-    capped at 50 ms). *)
-
 val guard :
   ?retries:int ->
   ?inject:Inject.site * string ->
   (attempt:int -> 'a) ->
   ('a, error * int) result
-(** [guard f] runs [f ~attempt:0]; on a transient error it backs off
-    and retries (re-invoking [f] with the next attempt number) up to
+(** [guard f] runs [f ~attempt:0]; on a transient error it retries at
+    once (re-invoking [f] with the next attempt number) up to
     [retries] times, then returns [Error (e, attempts_used)].
     Permanent errors return immediately.  With [~inject:(site, key)],
     {!Inject.check} runs before each attempt.  Never raises. *)

@@ -44,8 +44,8 @@ let iter ?jobs f xs = ignore (map ?jobs f xs)
 
 (* Fault-contained variant: every job runs to an [Ok]/[Error] verdict,
    a failing job never halts the others, and transient fault classes
-   are retried (with backoff) inside the job's slot, so one flaky cell
-   cannot poison a whole figure sweep. *)
+   are retried inside the job's slot, so one flaky cell cannot poison
+   a whole figure sweep. *)
 let map_array_result ?jobs ?retries f xs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let n = Array.length xs in

@@ -37,8 +37,8 @@ val map_array_result :
 (** Fault-contained {!map_array}: each job yields [Ok v] or
     [Error e] in place, and a failing job never aborts the rest of the
     batch.  Exceptions are classified through {!Fault.of_exn};
-    transient classes are retried inside the job slot with capped
-    exponential backoff ([retries] defaults to {!Fault.max_retries}).
+    transient classes are retried inside the job slot ([retries]
+    defaults to {!Fault.max_retries}).
     The [worker] injection site fires per job index, before each
     attempt.  Never raises. *)
 

@@ -273,18 +273,41 @@ let test_pool_survives_runaway () =
 
 let test_harness_watchdog () =
   (* An absurdly small per-call budget makes any real benchmark trip as
-     soon as its JIT code runs; Harness.run must surface it as a typed
-     Fault, not loop or report a soft error. *)
+     soon as its JIT code runs; every harness entry point must surface
+     it as a typed Fault, not loop or report a soft error.
+     Calibration swallows every other exception, so a fault lost there
+     would otherwise go unnoticed. *)
   Unix.putenv "VSPEC_MAX_CYCLES" "1";
-  match
-    Experiments.Harness.run ~iterations:30
-      ~config:
-        (Experiments.Common.config_for ~arch:Arch.Arm64 ~seed:1
-           Experiments.Common.V_normal)
-      (bench "DP")
-  with
-  | _ -> Alcotest.fail "watchdog did not trip"
-  | exception Fault.Fault (Fault.Runaway _) -> ()
+  let config =
+    Experiments.Common.config_for ~arch:Arch.Arm64 ~seed:1
+      Experiments.Common.V_normal
+  in
+  let b = bench "DP" in
+  let trips name f =
+    match f () with
+    | () -> Alcotest.fail (name ^ ": watchdog did not trip")
+    | exception Fault.Fault (Fault.Runaway _) -> ()
+  in
+  trips "Harness.run" (fun () ->
+      ignore (Experiments.Harness.run ~iterations:30 ~config b));
+  trips "Harness.calibrate_removable" (fun () ->
+      ignore (Experiments.Harness.calibrate_removable ~iterations:30 ~config b));
+  trips "Harness.drive" (fun () ->
+      Experiments.Harness.drive
+        (Engine.create config b.Workloads.Suite.source)
+        ~calls:30);
+  (* Through the cell runner the trip is a typed, negative-cached
+     failure: the repeat must not simulate again. *)
+  let calibrate () =
+    Experiments.Common.removable_groups_result ~arch:Arch.Arm64 b
+  in
+  (match calibrate () with
+  | Error (Fault.Runaway _) -> ()
+  | _ -> Alcotest.fail "calibration cell should fail as runaway");
+  let stats = Experiments.Common.cache_stats () in
+  ignore (calibrate ());
+  Alcotest.(check (pair int int)) "failed cell not re-simulated" stats
+    (Experiments.Common.cache_stats ())
 
 (* ---------------- checksum verification ---------------- *)
 
@@ -466,6 +489,28 @@ let test_degraded_figure_end_to_end () =
       | Error (Fault.Injected _) -> ()
       | Ok _ -> Alcotest.fail "HASH cell should fail permanently"
       | Error e -> Alcotest.fail ("wrong class: " ^ Fault.class_name e));
+      (* The calibration path shares the cell runner: its failure is
+         typed, and the negative cache answers the repeat without
+         touching the simulator, the disk cache or the ledger. *)
+      Experiments.Plan.run ~jobs:2
+        [ Experiments.Plan.removal_cell ~arch:Arch.Arm64 ~seed:1 (bench "HASH") ];
+      let calibrate () =
+        Experiments.Common.removable_groups_result ~arch:Arch.Arm64
+          (bench "HASH")
+      in
+      (match calibrate () with
+      | Error (Fault.Injected _) -> ()
+      | Ok _ -> Alcotest.fail "HASH calibration should fail permanently"
+      | Error e -> Alcotest.fail ("wrong class: " ^ Fault.class_name e));
+      let stats = Experiments.Common.cache_stats () in
+      let ledger = List.length (Fault.Ledger.entries ()) in
+      (match calibrate () with
+      | Error (Fault.Injected _) -> ()
+      | _ -> Alcotest.fail "repeat calibration should fail the same way");
+      Alcotest.(check (pair int int)) "repeat answered by the negative cache"
+        stats (Experiments.Common.cache_stats ());
+      Alcotest.(check int) "repeat not re-ledgered" ledger
+        (List.length (Fault.Ledger.entries ()));
       let out = with_captured_stdout (fun () -> Experiments.Exp_checks.fig1 ()) in
       Alcotest.(check bool) "failed cell rendered as missing" true
         (contains ~sub:"(missing" out);

@@ -26,8 +26,8 @@ bench-exec:
 
 # Determinism + decode gates, then a fresh exec micro-benchmark run
 # checked against the committed BENCH_exec.json by bench/guard.exe
-# (speedup tolerance VSPEC_PERF_TOLERANCE, default 10%; plus the
-# committed fusion-coverage floor).
+# (fixed 10% speedup tolerance; plus the committed fusion-coverage
+# floor).
 perf:
 	dune build @perf
 

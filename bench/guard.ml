@@ -2,10 +2,9 @@
 
    Compares a freshly generated BENCH_exec.json against the committed
    one and fails (exit 1) when the decoded engine's speedup on any
-   committed bench drops by more than the tolerance — default 10%,
-   overridable with VSPEC_PERF_TOLERANCE (a fraction, e.g. 0.15) —
-   or when the fresh suite-wide fused-retired coverage falls below
-   the committed fusion floor.  Speedups are decoded/direct ratios
+   committed bench drops by more than the fixed 10% tolerance, or when
+   the fresh suite-wide fused-retired coverage falls below the
+   committed fusion floor.  Speedups are decoded/direct ratios
    measured in the same process, so they are robust to host speed;
    coverage is a ratio of simulated-instruction counts, so it is
    exact.  Wired into `dune build @perf` / `make perf`.
@@ -18,15 +17,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let tolerance () =
-  match Sys.getenv_opt "VSPEC_PERF_TOLERANCE" with
-  | None | Some "" -> 0.10
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some v when v >= 0.0 -> v
-    | _ ->
-      Printf.eprintf "[guard] bad VSPEC_PERF_TOLERANCE %S, using 0.10\n" s;
-      0.10)
+let tolerance = 0.10
 
 let bench_re =
   Str.regexp "{\"bench\": \"\\([^\"]+\\)\"[^}]*\"speedup\": \\([0-9.]+\\)"
@@ -74,7 +65,6 @@ let () =
   end;
   let fresh = read_file !fresh_path in
   let committed = read_file !committed_path in
-  let tol = tolerance () in
   let fresh_benches = benches fresh in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
@@ -83,13 +73,13 @@ let () =
       match List.assoc_opt name fresh_benches with
       | None -> fail "bench %S missing from fresh run" name
       | Some fresh_speedup ->
-        let floor = committed_speedup *. (1.0 -. tol) in
+        let floor = committed_speedup *. (1.0 -. tolerance) in
         Printf.printf "[guard] %-8s speedup %.3fx (committed %.3fx, floor %.3fx)%s\n"
           name fresh_speedup committed_speedup floor
           (if fresh_speedup < floor then "  << REGRESSION" else "");
         if fresh_speedup < floor then
           fail "bench %S speedup regressed: %.3fx < %.3fx (committed %.3fx - %.0f%%)"
-            name fresh_speedup floor committed_speedup (100.0 *. tol))
+            name fresh_speedup floor committed_speedup (100.0 *. tolerance))
     (benches committed);
   (match
      ( float_field "fusion_floor_pct" committed,
@@ -119,7 +109,7 @@ let () =
     Printf.printf "[guard] committed file has no tracing limit; skipping\n"
   | _, None -> fail "fresh run reports no trace_overhead_pct");
   match !failures with
-  | [] -> Printf.printf "[guard] OK (tolerance %.0f%%)\n" (100.0 *. tol)
+  | [] -> Printf.printf "[guard] OK (tolerance %.0f%%)\n" (100.0 *. tolerance)
   | fs ->
     List.iter (fun m -> Printf.eprintf "[guard] FAIL: %s\n" m) (List.rev fs);
     exit 1

@@ -5,10 +5,8 @@
    through the experiment registry.  With [--exec] it runs only the
    execution-engine micro-benchmarks below and writes BENCH_exec.json.
 
-   Knobs: VSPEC_ITERS (default 200), VSPEC_REPS (default 5), VSPEC_BENCH
-   (comma-separated ids), VSPEC_JOBS (domain-pool size), VSPEC_CACHE_DIR
-   (persistent result cache, "off" to disable), VSPEC_BENCH_OUT (timing
-   report path). *)
+   The VSPEC_* environment knobs are listed in README.md; a bad value
+   exits 2 before any work. *)
 
 (* ------------------------------------------------------------------ *)
 (* Execution-engine micro-benchmarks (`--exec`, `make bench-exec`)     *)
@@ -136,10 +134,7 @@ let exec_codes () =
   [ ("alu", alu); ("loads", loads); ("checks", checks);
     ("checkbr", checkbr); ("smiload", smiload) ]
 
-let exec_reps () =
-  match Sys.getenv_opt "VSPEC_EXEC_REPS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 60)
-  | None -> 60
+let exec_reps = 60
 
 type exec_meas = {
   m_rate : float;  (* simulated instructions / host second *)
@@ -156,7 +151,6 @@ let measure_exec ?(decoded = false) run code =
       call_builtin = (fun _ _ -> 0);
       call_js = (fun _ _ -> 0) }
   in
-  let reps = exec_reps () in
   (* Warm the decode cache explicitly, then one untimed run warms the
      memory hierarchy and predictor — the timed region measures steady
      dispatch, not one-time decode cost. *)
@@ -168,7 +162,7 @@ let measure_exec ?(decoded = false) run code =
   let kind0 = Array.copy fs.Perf.fused_by_kind in
   let blocks0 = fs.Perf.batched_blocks in
   let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
+  for _ = 1 to exec_reps do
     ignore (run cpu ~host ~code ~args:[||])
   done;
   let dt = Unix.gettimeofday () -. t0 in
@@ -181,11 +175,9 @@ let measure_exec ?(decoded = false) run code =
     m_blocks = fs.Perf.batched_blocks - blocks0;
   }
 
-let exec_report_path () =
-  match Sys.getenv_opt "VSPEC_EXEC_BENCH_OUT" with
-  | Some ("off" | "none" | "0") -> None
-  | Some "" | None -> Some "BENCH_exec.json"
-  | Some p -> Some p
+let exec_report_path =
+  Support.Knob.path_or_off "VSPEC_EXEC_BENCH_OUT"
+    ~default:(Some "BENCH_exec.json")
 
 (* Committed floor on the suite's fused-retired coverage, checked by
    bench/guard.ml against every fresh run.  The measured suite-wide
@@ -324,7 +316,7 @@ let run_exec_bench () =
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
       (Printf.sprintf "{\n  \"reps\": %d,\n  \"iters\": %d,\n"
-         (exec_reps ()) exec_iters);
+         exec_reps exec_iters);
     Buffer.add_string buf
       (Printf.sprintf
          "  \"suite_fused_retired_pct\": %.1f,\n  \"fusion_floor_pct\": %.1f,\n\
@@ -362,6 +354,7 @@ let run_exec_bench () =
        Printf.eprintf "[vspec] exec bench report not written: %s\n%!" m)
 
 let () =
+  Support.Knob.validate_or_exit "vspec";
   if Array.exists (fun a -> a = "--exec") Sys.argv then begin
     run_exec_bench ();
     exit 0

@@ -3,6 +3,7 @@
    performance counters. *)
 
 let run_file path inline arch_name no_opt baseline dump_code dump_stats iterations entry trace_path =
+  Support.Knob.validate_or_exit "d8";
   (* Tracing first, so the parse/compile of the script itself is
      captured.  A bad destination degrades to an untraced run with a
      one-line warning (Support.Fault containment style), not a crash. *)

@@ -1,27 +1,14 @@
 (* CLI for the paper-reproduction experiments: run one figure or all.
 
-   Environment knobs: VSPEC_ITERS (iterations per run), VSPEC_REPS
-   (repetitions for the statistical figures), VSPEC_BENCH
-   (comma-separated benchmark ids to restrict the suite), VSPEC_JOBS
-   (domain-pool size; 1 = sequential), VSPEC_CACHE_DIR (persistent
-   result cache location, "off" to disable), VSPEC_BENCH_OUT (timing
-   report path, default BENCH_suite.json).
-
-   Fault-handling knobs: VSPEC_MAX_CYCLES (watchdog cycle budget per
-   engine entry, "off" to disable), VSPEC_RETRIES (transient-fault
-   retry budget), VSPEC_FAULTS (deterministic fault injection,
-   site:rate:seed[:keyfilter] comma-list), VSPEC_VERIFY
-   (checksum cells against the interpreter-only reference),
-   VSPEC_REGEX_STEPS (regex backtracking budget).
-
-   Tracing knobs: --trace PATH / VSPEC_TRACE (execution trace written
-   at exit; .json Chrome/Perfetto, .folded flamegraph, .csv counter
-   timelines), VSPEC_TRACE_BUF (ring-buffer event capacity).
+   The VSPEC_* environment knobs are listed in README.md.  --trace PATH
+   overrides VSPEC_TRACE (execution trace written at exit; .json
+   Chrome/Perfetto, .folded flamegraph, .csv counter timelines).
 
    Exit codes: 0 = clean; 1 = degraded (at least one cell permanently
    failed -- the failure report on stderr lists each cell, its error
    class and attempt count, and the affected figure cells render as
-   missing); 2 = unknown experiment id. *)
+   missing); 2 = usage error: an unknown experiment id, or a bad
+   VSPEC_* value (rejected before any simulation). *)
 
 let list_experiments () =
   print_endline "available experiments:";
@@ -66,6 +53,7 @@ let trace_path =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc:"Write an execution trace to $(docv) at exit (format from the extension: .json Chrome/Perfetto, .folded flamegraph, .csv counters). Defaults to $(b,VSPEC_TRACE) when set.")
 
 let main list_only trace_path ids =
+  Support.Knob.validate_or_exit "vspec";
   (match Trace.setup ?path:trace_path () with
   | Ok _ -> ()
   | Error msg -> Printf.eprintf "vspec: warning: %s\n%!" msg);

@@ -45,13 +45,8 @@ let config_for ?cpu ~arch ~seed variant =
   | V_fuse_maps ->
     { base with Engine.arch = Arch.Arm64_smi_ext; fuse_map_checks = true }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i when i > 0 -> i | _ -> default)
-  | None -> default
-
-let iterations () = env_int "VSPEC_ITERS" 200
-let repetitions () = env_int "VSPEC_REPS" 5
+let iterations = Support.Knob.int "VSPEC_ITERS" ~min:1 ~default:200
+let repetitions = Support.Knob.int "VSPEC_REPS" ~min:1 ~default:5
 
 (* ------------------------------------------------------------------ *)
 (* Persistent on-disk result cache                                     *)
@@ -107,40 +102,37 @@ let resolve_cache_dir dir =
       (try Sys.remove probe with Sys_error _ -> ());
       (Some dir, None))
 
-(* The resolved cache directory is memoized per VSPEC_CACHE_DIR value
+(* Default next to the build artifacts when run from the project root;
+   disabled elsewhere (e.g. sandboxed test runs). *)
+let cache_dir =
+  Support.Knob.path_or_off "VSPEC_CACHE_DIR"
+    ~default:
+      (if (try Sys.is_directory "_build" with Sys_error _ -> false)
+       then Some (Filename.concat "_build" ".vspec-cache")
+       else None)
+
+(* The resolved cache directory is memoized per VSPEC_CACHE_DIR path
    (not once per process) so tests can repoint it; an unusable
-   directory degrades to cache-off with a single warning per value
+   directory degrades to cache-off with a single warning per path
    rather than aborting the suite. *)
 let disk_dir_mu = Mutex.create ()
 let disk_dir_cache : (string, string option) Hashtbl.t = Hashtbl.create 4
 
 let disk_dir () =
-  let env = Sys.getenv_opt "VSPEC_CACHE_DIR" in
-  let key = match env with Some v -> "env:" ^ v | None -> "<unset>" in
-  Mutex.lock disk_dir_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock disk_dir_mu)
-    (fun () ->
-      match Hashtbl.find_opt disk_dir_cache key with
-      | Some dir -> dir
-      | None ->
-        let dir, warning =
-          match env with
-          | Some ("" | "off" | "none" | "0") -> (None, None)
-          | Some dir -> resolve_cache_dir dir
-          | None ->
-            (* Default next to the build artifacts when run from the
-               project root; disabled elsewhere (e.g. sandboxed test
-               runs). *)
-            if (try Sys.is_directory "_build" with Sys_error _ -> false)
-            then resolve_cache_dir (Filename.concat "_build" ".vspec-cache")
-            else (None, None)
-        in
-        (match warning with
-        | Some w -> Printf.eprintf "vspec: warning: %s\n%!" w
-        | None -> ());
-        Hashtbl.add disk_dir_cache key dir;
-        dir)
+  match cache_dir () with
+  | None -> None
+  | Some path ->
+    Mutex.lock disk_dir_mu;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock disk_dir_mu)
+      (fun () ->
+        match Hashtbl.find_opt disk_dir_cache path with
+        | Some dir -> dir
+        | None ->
+          let dir, warning = resolve_cache_dir path in
+          Option.iter (Printf.eprintf "vspec: warning: %s\n%!") warning;
+          Hashtbl.add disk_dir_cache path dir;
+          dir)
 
 let digest_key ~kind ~(config : Engine.config) ~iters
     (bench : Workloads.Suite.benchmark) =
@@ -308,10 +300,7 @@ let clear_memo () =
 (* Read on every call (once per simulated cell), never through a
    [lazy]: a lazy value forced from two pool domains at once raises
    [CamlinternalLazy.Undefined]. *)
-let verify_enabled () =
-  match Sys.getenv_opt "VSPEC_VERIFY" with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | _ -> false
+let verify_enabled = Support.Knob.flag "VSPEC_VERIFY" ~default:false
 
 (* The containment protocol every simulated cell runs under: the
    negative cache answers a cell that already failed; otherwise the
@@ -434,12 +423,15 @@ let degraded name f =
     Printf.printf "  (%s degraded: %s)\n" name (Support.Fault.describe err);
     Support.Fault.Ledger.record ~cell:name err
 
-let suite () =
-  match Sys.getenv_opt "VSPEC_BENCH" with
-  | None | Some "" -> Workloads.Suite.all
-  | Some ids ->
-    let wanted = String.split_on_char ',' ids in
-    List.filter
-      (fun (b : Workloads.Suite.benchmark) ->
-        List.mem b.Workloads.Suite.id wanted)
-      Workloads.Suite.all
+let suite =
+  Support.Knob.string "VSPEC_BENCH" ~default:Workloads.Suite.all (fun ids ->
+      let wanted = String.split_on_char ',' ids |> List.map String.trim in
+      let wanted = List.filter (( <> ) "") wanted in
+      let picked (b : Workloads.Suite.benchmark) =
+        List.mem b.Workloads.Suite.id wanted
+      in
+      match List.filter (fun id -> Workloads.Suite.by_id id = None) wanted with
+      | [] when wanted <> [] -> Ok (List.filter picked Workloads.Suite.all)
+      | unknown ->
+        Error ("benchmark ids, comma-separated; unknown: "
+               ^ String.concat ", " unknown))

@@ -36,10 +36,10 @@ val config_for :
   ?cpu:Cpu.config -> arch:Arch.t -> seed:int -> variant -> Engine.config
 
 val iterations : unit -> int
-(** Default 200; override with VSPEC_ITERS. *)
+(** Default 200; override with VSPEC_ITERS (an integer >= 1). *)
 
 val repetitions : unit -> int
-(** Default 5 (paper: 30); override with VSPEC_REPS. *)
+(** Default 5 (paper: 30); override with VSPEC_REPS (an integer >= 1). *)
 
 val run_result :
   ?cpu:Cpu.config -> ?iterations:int -> arch:Arch.t -> seed:int ->
@@ -75,8 +75,8 @@ val reference_checksum : Workloads.Suite.benchmark -> float
     stateful benchmarks' checksums depend on it. *)
 
 val verify_enabled : unit -> bool
-(** Whether [VSPEC_VERIFY] is on; read from the environment on each
-    call. *)
+(** Whether [VSPEC_VERIFY] is on (default off); read from the
+    environment on each call. *)
 
 val degraded : string -> (unit -> unit) -> unit
 (** [degraded name f] runs [f]; a [Support.Fault.Fault] escaping it is
@@ -90,8 +90,9 @@ val resolve_cache_dir : string -> string option * string option
     disabled; exposed for tests. *)
 
 val suite : unit -> Workloads.Suite.benchmark list
-(** The benchmark list, restricted by VSPEC_BENCH (comma-separated ids)
-    if set. *)
+(** The benchmark list, restricted by VSPEC_BENCH (comma-separated ids,
+    surrounding whitespace ignored) if set.  Raises [Support.Knob.Invalid]
+    naming any unknown id. *)
 
 val cache_stats : unit -> int * int
 (** [(simulations, disk_hits)] since start/last {!clear_memo}: fresh

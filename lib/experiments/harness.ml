@@ -24,14 +24,7 @@ type result = {
    The default is ~3 orders of magnitude above the costliest legitimate
    iteration in the suite, so only a genuinely non-terminating code
    object trips it. *)
-let max_cycles_per_call () =
-  match Sys.getenv_opt "VSPEC_MAX_CYCLES" with
-  | Some ("" | "0" | "off" | "none") -> infinity
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f when f > 0.0 -> f
-    | _ -> 2e8)
-  | None -> 2e8
+let max_cycles_per_call = Support.Knob.float "VSPEC_MAX_CYCLES" ~default:2e8
 
 let drive eng ~calls =
   let cpu = Engine.cpu eng in

@@ -48,7 +48,7 @@ val calibrate_removable :
 
 val max_cycles_per_call : unit -> float
 (** Watchdog cycle budget per engine entry (setup or one benchmark
-    call): [VSPEC_MAX_CYCLES] if set ("0"/"off"/"none"/"" disables),
+    call): [VSPEC_MAX_CYCLES] if set ("0"/"off"/"none" disables),
     default 2e8. *)
 
 val drive : Engine.t -> calls:int -> unit

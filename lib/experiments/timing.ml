@@ -13,11 +13,8 @@ let timed figure f =
   Printf.eprintf "[vspec] %-10s %7.2fs  jobs=%d  sims=%d  disk-hits=%d\n%!"
     figure seconds jobs (sims1 - sims0) (hits1 - hits0)
 
-let report_path () =
-  match Sys.getenv_opt "VSPEC_BENCH_OUT" with
-  | Some ("off" | "none" | "0") -> None
-  | Some "" | None -> Some "BENCH_suite.json"
-  | Some p -> Some p
+let report_path =
+  Support.Knob.path_or_off "VSPEC_BENCH_OUT" ~default:(Some "BENCH_suite.json")
 
 let write_report () =
   match (!records, report_path ()) with
@@ -26,10 +23,17 @@ let write_report () =
     let recs = List.rev recs in
     let total = List.fold_left (fun a r -> a +. r.seconds) 0.0 recs in
     let jobs = Support.Pool.default_jobs () in
+    let sims, disk_hits = Common.cache_stats () in
+    let knob (k, v) = Printf.sprintf "%S: %S" k v in
     let buf = Buffer.create 1024 in
+    (* A warm (disk-served) run must not pass as the cold baseline. *)
     Buffer.add_string buf
-      (Printf.sprintf "{\n  \"jobs\": %d,\n  \"total_seconds\": %.3f,\n  \"figures\": [\n"
-         jobs total);
+      (Printf.sprintf
+         "{\n  \"jobs\": %d,\n  \"total_seconds\": %.3f,\n  \"knobs\": {%s},\n\
+         \  \"sims\": %d,\n  \"disk_hits\": %d,\n  \"cold\": %b,\n  \"figures\": [\n"
+         jobs total
+         (String.concat ", " (List.map knob (Support.Knob.set ())))
+         sims disk_hits (disk_hits = 0));
     List.iteri
       (fun i r ->
         Buffer.add_string buf

@@ -13,5 +13,8 @@ val timed : string -> (unit -> unit) -> unit
 
 val write_report : unit -> unit
 (** Write all recordings so far as JSON:
-    [{"jobs": n, "total_seconds": s, "figures": [{"figure", "seconds",
-    "jobs"}, ...]}].  No-op if nothing was recorded. *)
+    [{"jobs": n, "total_seconds": s, "knobs": {name: value}, "sims": n,
+    "disk_hits": n, "cold": b, "figures": [{"figure", "seconds",
+    "jobs"}, ...]}], where [knobs] lists the [VSPEC_*] variables that
+    are set and [cold] is [disk_hits = 0].  No-op if nothing was
+    recorded. *)

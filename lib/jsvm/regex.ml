@@ -237,20 +237,9 @@ let class_match negated ranges c =
    runaway simulation. *)
 let default_step_limit = 2_000_000
 
-(* Parsed once at module initialisation: a [lazy] forced from two
-   domains at once raises [CamlinternalLazy.Undefined]. *)
-let env_step_limit =
-  match Sys.getenv_opt "VSPEC_REGEX_STEPS" with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ -> default_step_limit)
-  | None -> default_step_limit
-
-let limit_override = ref None
-let set_step_limit n = limit_override := if n > 0 then Some n else None
-let step_limit () =
-  match !limit_override with Some n -> n | None -> env_step_limit
+let limit = ref default_step_limit
+let set_step_limit n = limit := if n > 0 then n else default_step_limit
+let step_limit () = !limit
 
 (* CPS backtracking matcher. *)
 let exec re s from =

@@ -34,7 +34,7 @@ val exec : compiled -> string -> int -> match_result option
 
 val step_limit : unit -> int
 (** Current backtracking budget: {!set_step_limit} override if any,
-    else [VSPEC_REGEX_STEPS] (default 2,000,000). *)
+    else 2,000,000. *)
 
 val set_step_limit : int -> unit
 (** Override the budget ([n <= 0] clears the override).  For tests. *)

@@ -514,14 +514,15 @@ type engine_kind = Direct | Decoded
 (* Parsed once at module initialisation, not through a [lazy]: OCaml 5
    raises [CamlinternalLazy.Undefined] in a domain that forces a lazy
    value while another domain is forcing it.  A bad value still raises
-   [Invalid_argument] at first use. *)
+   [Knob.Invalid] at first use (binaries reject it at startup). *)
 let env_engine =
-  match Sys.getenv_opt "VSPEC_EXEC" with
-  | None | Some "" | Some "decoded" -> Ok Decoded
-  | Some "direct" -> Ok Direct
-  | Some other ->
-    Error
-      (Printf.sprintf "VSPEC_EXEC=%s: expected \"decoded\" or \"direct\"" other)
+  let read =
+    Support.Knob.string "VSPEC_EXEC" ~default:Decoded (function
+      | "decoded" -> Ok Decoded
+      | "direct" -> Ok Direct
+      | _ -> Error "decoded or direct")
+  in
+  try Ok (read ()) with Support.Knob.Invalid _ as e -> Error e
 
 let engine_override : engine_kind option ref = ref None
 let set_engine k = engine_override := k
@@ -529,7 +530,7 @@ let set_engine k = engine_override := k
 let current_engine () =
   match !engine_override with
   | Some k -> k
-  | None -> ( match env_engine with Ok k -> k | Error msg -> invalid_arg msg)
+  | None -> ( match env_engine with Ok k -> k | Error e -> raise e)
 
 let run cpu ~host ~code ~args =
   match current_engine () with

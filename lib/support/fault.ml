@@ -68,11 +68,11 @@ module Inject = struct
     | Sim -> "sim"
 
   let site_of_string = function
-    | "cache-read" -> Cache_read
-    | "cache-write" -> Cache_write
-    | "worker" -> Worker
-    | "sim" -> Sim
-    | s -> invalid_arg (Printf.sprintf "VSPEC_FAULTS: unknown site %S" s)
+    | "cache-read" -> Some Cache_read
+    | "cache-write" -> Some Cache_write
+    | "worker" -> Some Worker
+    | "sim" -> Some Sim
+    | _ -> None
 
   type rule = {
     r_site : site;
@@ -81,48 +81,44 @@ module Inject = struct
     r_key_filter : string option;  (* substring of the fault key *)
   }
 
-  let rec parse_rule s =
+  let parse_rule s =
+    let rule site rate seed r_key_filter =
+      match
+        (site_of_string site, float_of_string_opt rate, int_of_string_opt seed)
+      with
+      | Some r_site, Some r_rate, Some r_seed
+        when r_rate >= 0.0 && r_rate <= 1.0 ->
+        Some { r_site; r_rate; r_seed; r_key_filter }
+      | _ -> None
+    in
     match String.split_on_char ':' (String.trim s) with
-    | [ site; rate; seed ] | [ site; rate; seed; "" ] ->
-      { r_site = site_of_string site;
-        r_rate =
-          (match float_of_string_opt rate with
-          | Some r when r >= 0.0 && r <= 1.0 -> r
-          | _ -> invalid_arg ("VSPEC_FAULTS: bad rate " ^ rate));
-        r_seed =
-          (match int_of_string_opt seed with
-          | Some n -> n
-          | None -> invalid_arg ("VSPEC_FAULTS: bad seed " ^ seed));
-        r_key_filter = None }
-    | [ site; rate; seed; filter ] ->
-      { (parse_rule (String.concat ":" [ site; rate; seed ])) with
-        r_key_filter = Some filter }
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "VSPEC_FAULTS: expected site:rate:seed[:key], got %S" s)
+    | [ site; rate; seed ] | [ site; rate; seed; "" ] -> rule site rate seed None
+    | [ site; rate; seed; filter ] -> rule site rate seed (Some filter)
+    | _ -> None
 
+  (* One bad rule rejects the whole spec. *)
   let parse_spec s =
-    if String.trim s = "" then []
-    else List.map parse_rule (String.split_on_char ',' s)
+    let rules =
+      if String.trim s = "" then []
+      else List.map parse_rule (String.split_on_char ',' s)
+    in
+    if List.exists Option.is_none rules then
+      Error "site:rate:seed[:key] rules (sites cache-read, cache-write, \
+             worker, sim; rate in [0, 1])"
+    else Ok (List.filter_map Fun.id rules)
 
-  (* [None] = not yet resolved from the environment.  [set_spec]
-     overrides (tests); the resolved list is immutable thereafter until
-     the next override, so concurrent readers are safe. *)
+  (* [None] = read [VSPEC_FAULTS].  [set_spec] overrides (tests); a
+     parsed list is immutable, so concurrent readers are safe. *)
   let rules : rule list option ref = ref None
 
-  let set_spec s = rules := Some (parse_spec s)
+  let set_spec s =
+    match parse_spec s with
+    | Ok rs -> rules := Some rs
+    | Error expected -> invalid_arg ("Fault.Inject.set_spec: expected " ^ expected)
 
-  let current () =
-    match !rules with
-    | Some rs -> rs
-    | None ->
-      let rs =
-        match Sys.getenv_opt "VSPEC_FAULTS" with
-        | None | Some "" -> []
-        | Some s -> parse_spec s
-      in
-      rules := Some rs;
-      rs
+  let env_rules = Knob.string "VSPEC_FAULTS" ~default:[] parse_spec
+
+  let current () = match !rules with Some rs -> rs | None -> env_rules ()
 
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
@@ -171,13 +167,7 @@ end
 (* Retry policy                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> (
-    match int_of_string_opt v with Some i when i >= 0 -> i | _ -> default)
-  | None -> default
-
-let max_retries () = env_int "VSPEC_RETRIES" 2
+let max_retries = Knob.int "VSPEC_RETRIES" ~min:0 ~default:2
 
 let guard ?retries ?inject f =
   let retries = match retries with Some r -> max 0 r | None -> max_retries () in

@@ -65,7 +65,8 @@ module Inject : sig
 
   val set_spec : string -> unit
   (** Override the [VSPEC_FAULTS] spec programmatically (tests); [""]
-      disables injection. *)
+      disables injection.  Raises [Invalid_argument] on a malformed
+      spec. *)
 
   val fires : site:site -> key:string -> attempt:int -> error option
   (** The injection decision, non-raising. *)
@@ -75,7 +76,8 @@ module Inject : sig
 end
 
 val max_retries : unit -> int
-(** Retry budget for transient faults ([VSPEC_RETRIES], default 2). *)
+(** Retry budget for transient faults ([VSPEC_RETRIES], a non-negative
+    integer; default 2). *)
 
 val guard :
   ?retries:int ->

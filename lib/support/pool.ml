@@ -1,10 +1,6 @@
-let default_jobs () =
-  match Sys.getenv_opt "VSPEC_JOBS" with
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some n when n >= 1 -> n
-    | _ -> max 1 (Domain.recommended_domain_count () - 1))
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs =
+  Knob.int "VSPEC_JOBS" ~min:1
+    ~default:(max 1 (Domain.recommended_domain_count () - 1))
 
 let map_array ?jobs f xs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in

@@ -13,8 +13,9 @@
     order, with no domain spawned. *)
 
 val default_jobs : unit -> int
-(** [VSPEC_JOBS] if set to a positive integer, otherwise
-    [max 1 (Domain.recommended_domain_count () - 1)]. *)
+(** [VSPEC_JOBS] (a positive integer) if set, otherwise
+    [max 1 (Domain.recommended_domain_count () - 1)].  Raises
+    [Knob.Invalid] on any other value. *)
 
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f xs] like [Array.map f xs] but parallel; [results.(i)]

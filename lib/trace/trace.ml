@@ -45,14 +45,6 @@ let active () = !on
 
 let default_capacity = 65536
 
-let capacity_from_env () =
-  match Sys.getenv_opt "VSPEC_TRACE_BUF" with
-  | None | Some "" -> default_capacity
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some n -> max 16 n
-    | None -> default_capacity)
-
 let make_ring cap =
   {
     cap;
@@ -68,9 +60,7 @@ let make_ring cap =
   }
 
 let enable ?capacity () =
-  let cap =
-    match capacity with Some c -> max 16 c | None -> capacity_from_env ()
-  in
+  let cap = max 16 (Option.value capacity ~default:default_capacity) in
   Mutex.lock mu;
   ring := Some (make_ring cap);
   out_path := None;
@@ -406,15 +396,10 @@ let finalize () =
     disable ();
     match r with Ok n -> Ok (Some (path, n)) | Error m -> Error m)
 
+let env_path = Support.Knob.path_or_off "VSPEC_TRACE" ~default:None
+
 let setup ?path () =
-  let path =
-    match path with
-    | Some _ -> path
-    | None -> (
-      match Sys.getenv_opt "VSPEC_TRACE" with
-      | None | Some "" -> None
-      | Some p -> Some p)
-  in
+  let path = match path with Some _ -> path | None -> env_path () in
   match path with
   | None -> Ok false
   | Some path -> (

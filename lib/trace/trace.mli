@@ -57,11 +57,11 @@ val active : unit -> bool
 (** {1 Lifecycle} *)
 
 val default_capacity : int
-(** 65536 events; override with [VSPEC_TRACE_BUF] or [?capacity]. *)
+(** 65536 events; override with [?capacity]. *)
 
 val enable : ?capacity:int -> unit -> unit
 (** Allocate the ring buffer (capacity from [?capacity], else
-    [VSPEC_TRACE_BUF], else {!default_capacity}; clamped to >= 16) and
+    {!default_capacity}; clamped to >= 16) and
     start recording.  No output path is set: use {!write} or {!events}
     to consume the ring. *)
 
@@ -75,7 +75,7 @@ val configure : ?capacity:int -> path:string -> unit -> (unit, string) result
 
 val setup : ?path:string -> unit -> (bool, string) result
 (** Binary entry point: resolve the trace destination from [?path]
-    (the [--trace] flag) falling back to [VSPEC_TRACE]; unset means
+    (the [--trace] flag) falling back to [VSPEC_TRACE]; unset or [off] means
     tracing stays off ([Ok false]).  On success registers an [at_exit]
     hook that writes the trace (reporting the path and event count on
     stderr), so every exit path of a CLI flushes it.  [Error] carries a

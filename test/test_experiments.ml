@@ -264,6 +264,34 @@ let test_baseline_then_optimize () =
   Alcotest.(check bool) "tiered up to the optimizer" true
     (Engine.tier_of_fid eng fid = Some `Optimized)
 
+let test_bench_knob () =
+  let ids () =
+    List.map
+      (fun (b : Workloads.Suite.benchmark) -> b.Workloads.Suite.id)
+      (Experiments.Common.suite ())
+  in
+  let rejects value =
+    Unix.putenv "VSPEC_BENCH" value;
+    match ids () with
+    | _ -> Alcotest.failf "VSPEC_BENCH=%S accepted" value
+    | exception Support.Knob.Invalid { name; expected; _ } ->
+      Alcotest.(check string) "names the knob" "VSPEC_BENCH" name;
+      expected
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "VSPEC_BENCH" "")
+    (fun () ->
+      Unix.putenv "VSPEC_BENCH" "DP, HASH";
+      Alcotest.(check (list string)) "ids are trimmed" [ "DP"; "HASH" ]
+        (List.sort compare (ids ()));
+      let expected = rejects "dp" in
+      Alcotest.(check bool) "lower-case id is unknown" true
+        (Str.string_match (Str.regexp ".*unknown: dp") expected 0);
+      let expected = rejects "DP,NOPE" in
+      Alcotest.(check bool) "the unknown id is named" true
+        (Str.string_match (Str.regexp ".*unknown: NOPE") expected 0);
+      ignore (rejects " , "))
+
 let suite =
   [
     ( "harness",
@@ -276,6 +304,7 @@ let suite =
         Alcotest.test_case "overlapping windows" `Quick test_window_overlapping_checks;
         Alcotest.test_case "run basics" `Quick test_harness_run_basic;
         Alcotest.test_case "calibration" `Quick test_calibration_finds_fired_groups;
+        Alcotest.test_case "VSPEC_BENCH ids" `Quick test_bench_knob;
       ] );
     ( "baseline-tier",
       [

@@ -332,9 +332,11 @@ let test_extra_builtins () =
 (* The environment variables the program reads ("VSPEC_*" string
    literals under lib/, bin/ and bench/) and the rows of README's knob
    table must name the same set, so a deleted knob cannot leave a stale
-   row behind and a new one cannot go undocumented.  The sources are
-   dune deps of the test; the root is the build tree's copy, or the
-   checkout when the binary runs from the repository root. *)
+   row behind and a new one cannot go undocumented.  Only
+   lib/support/knob.ml may call [Sys.getenv], so every knob goes through
+   the one typed parser.  The sources are dune deps of the test; the
+   root is the build tree's copy, or the checkout when the binary runs
+   from the repository root. *)
 let test_readme_knob_table () =
   let root = if Sys.file_exists "../README.md" then ".." else "." in
   let read path = In_channel.with_open_bin path In_channel.input_all in
@@ -343,7 +345,7 @@ let test_readme_knob_table () =
       (fun f ->
         let p = Filename.concat dir f in
         if Sys.is_directory p then sources p
-        else if Filename.check_suffix f ".ml" then [ read p ]
+        else if Filename.check_suffix f ".ml" then [ (p, read p) ]
         else [])
       (Array.to_list (Sys.readdir dir))
   in
@@ -355,13 +357,26 @@ let test_readme_knob_table () =
     in
     List.sort_uniq compare (go 0 [])
   in
-  let read_by_code =
+  let files =
     List.concat_map
       (fun d -> sources (Filename.concat root d))
       [ "lib"; "bin"; "bench" ]
-    |> String.concat "\n"
+  in
+  let read_by_code =
+    String.concat "\n" (List.map snd files)
     |> names (Str.regexp {|"\(VSPEC_[A-Z0-9_]+\)"|})
   in
+  let getenv_outside_knob =
+    List.filter_map
+      (fun (p, text) ->
+        match Str.search_forward (Str.regexp_string "Sys.getenv") text 0 with
+        | _ when p = Filename.concat root "lib/support/knob.ml" -> None
+        | _ -> Some p
+        | exception Not_found -> None)
+      files
+  in
+  Alcotest.(check (list string)) "Sys.getenv only in lib/support/knob.ml" []
+    getenv_outside_knob;
   let rows =
     names
       (Str.regexp {|^| `\(VSPEC_[A-Z0-9_]+\)`|})

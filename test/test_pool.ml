@@ -68,9 +68,13 @@ let test_default_jobs_env () =
   Unix.putenv "VSPEC_JOBS" "3";
   Alcotest.(check int) "VSPEC_JOBS wins" 3 (Support.Pool.default_jobs ());
   Unix.putenv "VSPEC_JOBS" "not-a-number";
-  Alcotest.(check bool) "garbage falls back to >= 1" true
-    (Support.Pool.default_jobs () >= 1);
-  Unix.putenv "VSPEC_JOBS" "1"
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "VSPEC_JOBS" "1")
+    (fun () ->
+      Alcotest.(check bool) "garbage is a typed error" true
+        (match Support.Pool.default_jobs () with
+        | _ -> false
+        | exception Support.Knob.Invalid { name = "VSPEC_JOBS"; _ } -> true))
 
 let test_memo_single_flight () =
   let m : (string, int) Support.Pool.Memo.t = Support.Pool.Memo.create 4 in

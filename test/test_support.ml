@@ -255,6 +255,78 @@ let test_bar () =
   Alcotest.(check bool) "full bar longer than empty" true
     (String.length full > String.length (String.trim empty))
 
+(* ------------------------------------------------------------------ *)
+(* Knob                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reader over unset, "", a valid value, garbage and (where the
+   reader has a range) an out-of-range value; [None] expects
+   [Knob.Invalid] naming the knob and the value. *)
+let test_knob_readers () =
+  let module K = Support.Knob in
+  let shown show read () = show (read ()) in
+  let rows =
+    [ ( "int",
+        (fun n -> shown string_of_int (K.int n ~min:1 ~default:7)),
+        [ ("", Some "7"); ("12", Some "12"); (" 3 ", Some "3");
+          ("1e3", None); ("abc", None); ("0", None); ("-4", None) ] );
+      ( "float",
+        (fun n -> shown string_of_float (K.float n ~default:5.0)),
+        [ ("", Some "5."); ("2.5e3", Some "2500."); ("off", Some "inf");
+          ("0", Some "inf"); ("lots", None); ("-1", None) ] );
+      ( "flag",
+        (fun n -> shown string_of_bool (K.flag n ~default:false)),
+        [ ("", Some "false"); ("1", Some "true"); ("on", Some "true");
+          ("no", Some "false"); ("off", Some "false"); ("ture", None) ] );
+      ( "path_or_off",
+        (fun n ->
+          shown (Option.value ~default:"-")
+            (K.path_or_off n ~default:(Some "dflt"))),
+        [ ("", Some "dflt"); ("a b/c", Some "a b/c"); ("off", Some "-");
+          ("none", Some "-") ] );
+      ( "string",
+        (fun n ->
+          shown Fun.id
+            (K.string n ~default:"a" (function
+              | ("a" | "b") as v -> Ok v
+              | _ -> Error "a or b"))),
+        [ ("", Some "a"); ("b", Some "b"); ("c", None) ] ) ]
+  in
+  List.iter
+    (fun (kind, declare, cases) ->
+      let name = "VSPEC_TEST_" ^ String.uppercase_ascii kind in
+      let unset = declare (name ^ "_UNSET") and read = declare name in
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv name "")
+        (fun () ->
+          List.iter
+            (fun (value, expected) ->
+              Unix.putenv name value;
+              let got =
+                match read () with
+                | v -> Some v
+                | exception K.Invalid { name = n; value = v; _ } ->
+                  Alcotest.(check (pair string string))
+                    "Invalid names the knob and value" (name, value) (n, v);
+                  None
+              in
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s %S" kind value) expected got)
+            cases;
+          Unix.putenv name "";
+          Alcotest.(check string) (kind ^ ": \"\" = unset") (unset ()) (read ())))
+    rows;
+  Unix.putenv "VSPEC_TEST_INT" "abc";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "VSPEC_TEST_INT" "")
+    (fun () ->
+      Alcotest.(check bool) "set lists it" true
+        (List.mem ("VSPEC_TEST_INT", "abc") (K.set ()));
+      Alcotest.(check bool) "validate rejects it" true
+        (match K.validate () with
+        | () -> false
+        | exception K.Invalid { name; _ } -> name = "VSPEC_TEST_INT"))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -288,6 +360,9 @@ let suite =
         q prop_variance_nonneg;
         q prop_t_inv_roundtrip;
       ] );
+    ( "knob",
+      [ Alcotest.test_case "readers: unset, empty, valid, garbage, range" `Quick
+          test_knob_readers ] );
     ( "table",
       [
         Alcotest.test_case "render" `Quick test_table_render;

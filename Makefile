@@ -26,8 +26,8 @@ bench-exec:
 
 # Determinism + decode gates, then a fresh exec micro-benchmark run
 # checked against the committed BENCH_exec.json by bench/guard.exe
-# (fixed 10% speedup tolerance; plus the committed fusion-coverage
-# floor).
+# (fixed 10% speedup tolerance; plus a fixed slack on the committed
+# host words allocated per simulated instruction).
 perf:
 	dune build @perf
 

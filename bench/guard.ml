@@ -3,11 +3,13 @@
    Compares a freshly generated BENCH_exec.json against the committed
    one and fails (exit 1) when the decoded engine's speedup on any
    committed bench drops by more than the fixed 10% tolerance, or when
-   the fresh suite-wide fused-retired coverage falls below the
-   committed fusion floor.  Speedups are decoded/direct ratios
-   measured in the same process, so they are robust to host speed;
-   coverage is a ratio of simulated-instruction counts, so it is
-   exact.  Wired into `dune build @perf` / `make perf`.
+   its host allocation per simulated instruction on any committed
+   bench rises more than a fixed slack above the committed value.
+   Speedups are decoded/direct ratios measured in the same process, so
+   they are robust to host speed; allocation is counted by the host
+   GC, so it is exact and catches a boxing regression in a hot
+   micro-op with zero noise.  Wired into `dune build @perf` /
+   `make perf`.
 
    Usage: guard.exe --fresh FILE [--committed FILE] *)
 
@@ -19,18 +21,25 @@ let read_file path =
 
 let tolerance = 0.10
 
-let bench_re =
-  Str.regexp "{\"bench\": \"\\([^\"]+\\)\"[^}]*\"speedup\": \\([0-9.]+\\)"
+(* Host minor-heap words per simulated instruction.  One boxed float
+   (two words) in a micro-op that runs once per kernel iteration adds
+   well over this to every kernel. *)
+let alloc_slack = 0.05
 
-(* [(bench, speedup)] in file order. *)
-let benches text =
+(* [(bench, value)] of one numeric per-bench field, in file order. *)
+let benches ?(field = "speedup") text =
+  let re =
+    Str.regexp
+      ("{\"bench\": \"\\([^\"]+\\)\"[^}]*\"" ^ field
+     ^ "\": \\([0-9.]+\\)")
+  in
   let rec go pos acc =
-    match Str.search_forward bench_re text pos with
+    match Str.search_forward re text pos with
     | exception Not_found -> List.rev acc
     | p ->
       let name = Str.matched_group 1 text in
-      let speedup = float_of_string (Str.matched_group 2 text) in
-      go (p + 1) ((name, speedup) :: acc)
+      let v = float_of_string (Str.matched_group 2 text) in
+      go (p + 1) ((name, v) :: acc)
   in
   go 0 []
 
@@ -81,20 +90,22 @@ let () =
           fail "bench %S speedup regressed: %.3fx < %.3fx (committed %.3fx - %.0f%%)"
             name fresh_speedup floor committed_speedup (100.0 *. tolerance))
     (benches committed);
-  (match
-     ( float_field "fusion_floor_pct" committed,
-       float_field "suite_fused_retired_pct" fresh )
-   with
-  | Some floor, Some coverage ->
-    Printf.printf "[guard] suite fusion coverage %.1f%% (floor %.1f%%)%s\n"
-      coverage floor
-      (if coverage < floor then "  << REGRESSION" else "");
-    if coverage < floor then
-      fail "suite fused-retired coverage %.1f%% fell below the floor %.1f%%"
-        coverage floor
-  | None, _ ->
-    Printf.printf "[guard] committed file has no fusion floor; skipping\n"
-  | _, None -> fail "fresh run reports no suite_fused_retired_pct");
+  let field = "alloc_words_per_insn" in
+  let fresh_alloc = benches ~field fresh in
+  List.iter
+    (fun (name, committed_words) ->
+      match List.assoc_opt name fresh_alloc with
+      | None -> fail "bench %S reports no %s" name field
+      | Some words ->
+        let ceiling = committed_words +. alloc_slack in
+        Printf.printf
+          "[guard] %-8s alloc %.4f words/insn (committed %.4f, ceiling %.4f)%s\n"
+          name words committed_words ceiling
+          (if words > ceiling then "  << REGRESSION" else "");
+        if words > ceiling then
+          fail "bench %S allocates %.4f words/insn > %.4f (committed %.4f + %.2f)"
+            name words ceiling committed_words alloc_slack)
+    (benches ~field committed);
   (match
      ( float_field "trace_overhead_limit_pct" committed,
        float_field "trace_overhead_pct" fresh )

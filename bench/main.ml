@@ -13,12 +13,12 @@
 (*                                                                     *)
 (* Five synthetic code objects stress the hot shapes of JIT code —     *)
 (* pure ALU dependency chains, load/store traffic, deopt-check         *)
-(* sequences, and the two fusion-targeted patterns (check+branch       *)
-(* pairs, load+untag pairs) — and run them through both executors,     *)
-(* reporting simulated-instructions-per-second, the decoded/direct     *)
-(* speedup, and the decoded engine's fusion coverage.  Results go to   *)
-(* BENCH_exec.json; bench/guard.ml compares a fresh run against the    *)
-(* committed file.                                                     *)
+(* sequences, check+branch runs and load+untag runs — and run them     *)
+(* through both executors, reporting                                   *)
+(* simulated-instructions-per-second, the decoded/direct speedup, and  *)
+(* the decoded engine's host allocation per simulated instruction.     *)
+(* Results go to BENCH_exec.json; bench/guard.ml compares a fresh run  *)
+(* against the committed file.                                         *)
 (* ------------------------------------------------------------------ *)
 
 let exec_iters = 2000
@@ -96,8 +96,7 @@ let exec_codes () =
   in
   let checkbr =
     (* Check+branch-heavy: four tst/deopt_if pairs and the loop's
-       cmp/b.cond back to back, all on one i-cache line, so every
-       check in the loop body fuses into a single dispatch slot. *)
+       cmp/b.cond back to back, all on one i-cache line. *)
     let deopts =
       [| { Code.dp_id = 0; reason = Insn.Not_a_smi; bc_pc = 0; frame = [||];
            accumulator = Code.Fv_dead } |]
@@ -118,7 +117,7 @@ let exec_codes () =
   let smiload =
     (* Load+untag-heavy: four ldr/asr pairs per iteration — the
        software shape the ARM64 [jsldrsmi] extension fuses in
-       hardware, fused in the decoded engine's dispatch instead. *)
+       hardware. *)
     mk
       ([ i (Insn.Mov (0, Insn.Imm 0));
          i (Insn.Mov (1, Insn.Imm 16)) (* word 8 *);
@@ -138,9 +137,7 @@ let exec_reps = 60
 
 type exec_meas = {
   m_rate : float;  (* simulated instructions / host second *)
-  m_insns : int;  (* simulated instructions retired in the timed reps *)
-  m_fused : int;  (* of which retired inside fused pairs *)
-  m_by_kind : int array;  (* fused-pair executions per Perf fuse kind *)
+  m_words : float;  (* host minor-heap words / simulated instruction *)
   m_blocks : int;  (* block-granular counter charges taken *)
 }
 
@@ -157,35 +154,24 @@ let measure_exec ?(decoded = false) run code =
   if decoded then Decode.warm code;
   ignore (run cpu ~host ~code ~args:[||]);
   let insns0 = cpu.Cpu.counters.Perf.jit_instructions in
-  let fs = cpu.Cpu.fstats in
-  let fused0 = fs.Perf.fused_retired in
-  let kind0 = Array.copy fs.Perf.fused_by_kind in
-  let blocks0 = fs.Perf.batched_blocks in
+  let blocks0 = cpu.Cpu.fstats.Perf.batched_blocks in
+  let words0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to exec_reps do
     ignore (run cpu ~host ~code ~args:[||])
   done;
   let dt = Unix.gettimeofday () -. t0 in
-  let insns = cpu.Cpu.counters.Perf.jit_instructions - insns0 in
+  let words = Gc.minor_words () -. words0 in
+  let insns = float_of_int (cpu.Cpu.counters.Perf.jit_instructions - insns0) in
   {
-    m_rate = float_of_int insns /. (if dt > 0.0 then dt else 1e-9);
-    m_insns = insns;
-    m_fused = fs.Perf.fused_retired - fused0;
-    m_by_kind = Array.mapi (fun k v -> v - kind0.(k)) fs.Perf.fused_by_kind;
-    m_blocks = fs.Perf.batched_blocks - blocks0;
+    m_rate = insns /. (if dt > 0.0 then dt else 1e-9);
+    m_words = words /. insns;
+    m_blocks = cpu.Cpu.fstats.Perf.batched_blocks - blocks0;
   }
 
 let exec_report_path =
   Support.Knob.path_or_off "VSPEC_EXEC_BENCH_OUT"
     ~default:(Some "BENCH_exec.json")
-
-(* Committed floor on the suite's fused-retired coverage, checked by
-   bench/guard.ml against every fresh run.  The measured suite-wide
-   coverage sits around 45–50%; anything under the floor means the
-   fusion pass stopped matching the hot patterns.  (Coverage is a
-   ratio of simulated-instruction counts, so it is deterministic —
-   the floor guards against decode regressions, not host noise.) *)
-let fusion_floor_pct = 50.0
 
 (* Committed ceiling on the tracing-off overhead, checked by
    bench/guard.ml.  The zero-cost-when-disabled contract says every
@@ -271,9 +257,6 @@ let measure_trace_overhead () =
   if !sink = max_int then print_char ' ';
   Float.max 0.0 overhead
 
-let pct part whole =
-  if whole <= 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
-
 let run_exec_bench () =
   Support.Table.section
     "Execution-engine micro-benchmarks (simulated insns/sec)";
@@ -287,7 +270,8 @@ let run_exec_bench () =
   in
   let t =
     Support.Table.create ~title:"pre-decoded engine vs direct interpreter"
-      ~columns:[ "bench"; "direct Mi/s"; "decoded Mi/s"; "speedup"; "fused%" ]
+      ~columns:
+        [ "bench"; "direct Mi/s"; "decoded Mi/s"; "speedup"; "words/insn" ]
   in
   List.iter
     (fun (name, direct, decoded, speedup) ->
@@ -296,17 +280,9 @@ let run_exec_bench () =
           Printf.sprintf "%.1f" (direct.m_rate /. 1e6);
           Printf.sprintf "%.1f" (decoded.m_rate /. 1e6);
           Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.1f" (pct decoded.m_fused decoded.m_insns) ])
+          Printf.sprintf "%.4f" decoded.m_words ])
     rows;
   Support.Table.print t;
-  let suite_insns =
-    List.fold_left (fun a (_, _, d, _) -> a + d.m_insns) 0 rows
-  in
-  let suite_fused =
-    List.fold_left (fun a (_, _, d, _) -> a + d.m_fused) 0 rows
-  in
-  Printf.printf "suite fused-retired coverage: %.1f%% (floor %.1f%%)\n"
-    (pct suite_fused suite_insns) fusion_floor_pct;
   let trace_overhead = measure_trace_overhead () in
   Printf.printf "tracing-off overhead (guarded emit vs none): %.2f%% (limit %.1f%%)\n"
     trace_overhead trace_overhead_limit_pct;
@@ -319,29 +295,19 @@ let run_exec_bench () =
          exec_reps exec_iters);
     Buffer.add_string buf
       (Printf.sprintf
-         "  \"suite_fused_retired_pct\": %.1f,\n  \"fusion_floor_pct\": %.1f,\n\
-         \  \"trace_overhead_pct\": %.2f,\n\
+         "  \"trace_overhead_pct\": %.2f,\n\
          \  \"trace_overhead_limit_pct\": %.1f,\n\
          \  \"benches\": [\n"
-         (pct suite_fused suite_insns) fusion_floor_pct trace_overhead
-         trace_overhead_limit_pct);
+         trace_overhead trace_overhead_limit_pct);
     List.iteri
       (fun idx (name, direct, decoded, speedup) ->
-        let pairs =
-          String.concat ", "
-            (List.init Perf.num_fuse_kinds (fun k ->
-                 Printf.sprintf "%S: %d" (Perf.fuse_kind_name k)
-                   decoded.m_by_kind.(k)))
-        in
         Buffer.add_string buf
           (Printf.sprintf
              "    {\"bench\": %S, \"direct_insns_per_sec\": %.0f, \
               \"decoded_insns_per_sec\": %.0f, \"speedup\": %.3f, \
-              \"fused_retired_pct\": %.1f, \"blocks\": %d, \
-              \"fused_pairs\": {%s}}%s\n"
-             name direct.m_rate decoded.m_rate speedup
-             (pct decoded.m_fused decoded.m_insns)
-             decoded.m_blocks pairs
+              \"alloc_words_per_insn\": %.4f, \"blocks\": %d}%s\n"
+             name direct.m_rate decoded.m_rate speedup decoded.m_words
+             decoded.m_blocks
              (if idx = List.length rows - 1 then "" else ",")))
       rows;
     Buffer.add_string buf "  ]\n}\n";

@@ -45,12 +45,10 @@ let drive eng ~calls =
    Ground truth: instruction provenance recorded by the code
    generator.
 
-   Both attributions index by *instruction* PC, which the decoded
-   engine preserves even when it fuses adjacent micro-ops into one
-   dispatch slot: a fused closure updates the sampler's attribution PC
-   between its two halves, so samples still land on the individual
-   instruction (never on a synthetic "pair" PC) and the window
-   back-walk below needs no knowledge of fusion. *)
+   Both attributions index by *instruction* PC.  The decoded engine
+   gives every instruction its own dispatch slot and sets the sampler's
+   attribution PC per slot, so samples land on the same instructions as
+   under the direct interpreter. *)
 let check_window_map (code : Code.t) =
   let insns = code.Code.insns in
   let w = Arch.check_window code.Code.arch in

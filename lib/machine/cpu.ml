@@ -147,7 +147,7 @@ type t = {
   freg_ready : float array;
   mutable last_iline : int;
   counters : Perf.counters;
-  fstats : Perf.fusion;
+  fstats : Perf.batching;
   sampler : Perf.sampler option;
   mutable cur_code : int;   (* attribution target for the PC sampler *)
   mutable cur_pc : int;
@@ -176,7 +176,7 @@ let create ?sampler cfg =
     freg_ready = Array.make Insn.num_fp_regs 0.0;
     last_iline = -1;
     counters = Perf.create_counters ();
-    fstats = Perf.create_fusion ();
+    fstats = Perf.create_batching ();
     sampler;
     cur_code = Perf.runtime_code_id;
     cur_pc = 0;
@@ -190,7 +190,7 @@ let reset t =
   t.clk.flags_ready <- 0.0;
   t.last_iline <- -1;
   Perf.reset_counters t.counters;
-  Perf.reset_fusion t.fstats
+  Perf.reset_batching t.fstats
 
 let cycles t = t.clk.high
 

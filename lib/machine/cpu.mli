@@ -96,10 +96,10 @@ type t = {
   freg_ready : float array;
   mutable last_iline : int;
   counters : Perf.counters;
-  fstats : Perf.fusion;
-      (** fusion/batching coverage of the pre-decoded engine; stays
+  fstats : Perf.batching;
+      (** block-batching coverage of the pre-decoded engine; stays
           all-zero under the direct interpreter.  Not part of digested
-          results (see {!Perf.fusion}). *)
+          results (see {!Perf.batching}). *)
   sampler : Perf.sampler option;
   mutable cur_code : int;   (** attribution target for the PC sampler *)
   mutable cur_pc : int;

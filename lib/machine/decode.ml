@@ -1,22 +1,19 @@
-(* Pre-decoded threaded-code execution engine with superinstruction
-   fusion and block-batched accounting.
+(* Pre-decoded threaded-code execution engine with block-batched
+   accounting.
 
    [compile] lowers a [Code.t] once into a flat array of micro-op
-   closures: operand indexes, effective-address components, latency
-   classes, check provenance, branch targets, fetch addresses and
-   cache-line numbers are all resolved at decode time.  A peephole
-   fusion pass then pairs hot adjacent micro-ops (compare + deopt
-   branch, compare + b.cond, load + untag shift — the software
-   [jsldrsmi] analogue — and disjoint ALU chains) into single fused
-   closures, and a batching pass precomputes each straight-line
-   block's aggregate static counter cost so the dispatch loop charges
-   one integer update per block instead of per instruction; only
-   dynamic events (branch resolution, memory hierarchy, sampler
-   windows, watchdog fuel) are modeled individually.
+   closures, one dispatch slot per instruction: operand indexes,
+   effective-address components, latency classes, check provenance,
+   branch targets, fetch addresses and cache-line numbers are all
+   resolved at decode time.  A batching pass precomputes each
+   straight-line block's aggregate static counter cost so the dispatch
+   loop charges one integer update per block instead of per
+   instruction; only dynamic events (branch resolution, memory
+   hierarchy, sampler windows, watchdog fuel) are modeled individually.
    Pseudo-instructions (labels, checkpoints) are compiled away and
-   branch targets are remapped onto the compacted dispatch-slot array.
-   Both passes always run: [VSPEC_EXEC=direct] is the only way back to
-   per-instruction execution.
+   branch targets are remapped onto the compacted micro-op array.
+   [VSPEC_EXEC=direct] is the only way back to the per-instruction
+   interpreter.
 
    The program is cached on the code object itself
    ([Code.decode_cache]); recompilation allocates a fresh [Code.t], so
@@ -90,10 +87,9 @@ type st = {
   clk : Cpu.clock; (* = cpu.clk, cached to save an indirection *)
   inorder : bool; (* = cpu.cfg.inorder *)
   sampler : Perf.sampler option; (* = cpu.sampler *)
-  sampling : bool; (* = sampler <> None; read by fused micro-ops *)
   bp : Predictor.t; (* = cpu.bp, hoisted out of the per-branch path *)
   counters : Perf.counters;
-  fstats : Perf.fusion;
+  fstats : Perf.batching;
   regs : int array;
   fregs : float array;
   slots : int array;
@@ -133,15 +129,12 @@ type delta = {
   d_chk : int;
   d_chkbr : int;
   d_groups : int array; (* length 6; the shared all-zero array if empty *)
-  d_fused : int array; (* per Perf fuse kind; shared zeros if empty *)
-  d_fused_retired : int;
   d_blocks : int;
       (* 1 in a block's entry charge, 0 in refunds: [batched_blocks]
          counts charge events, not retired instructions *)
 }
 
 let zeros6 = Array.make 6 0
-let zerosf = Array.make Perf.num_fuse_kinds 0
 
 let no_delta =
   {
@@ -153,31 +146,23 @@ let no_delta =
     d_chk = 0;
     d_chkbr = 0;
     d_groups = zeros6;
-    d_fused = zerosf;
-    d_fused_retired = 0;
     d_blocks = 0;
   }
 
 (* Decode-time static coverage of one compiled program. *)
-type stats = {
-  st_uops : int;
-  st_slots : int; (* dispatch slots = uops - fused pairs (+1 sentinel) *)
-  st_blocks : int;
-  st_fused : int array; (* static fused pairs per Perf fuse kind *)
-}
+type stats = { st_uops : int; st_blocks : int }
 
-(* The compiled form: one closure per dispatch slot (a single
-   instruction or a fused pair) plus flat side arrays of decode-time
-   constants consumed by the dispatch loop's shared prologue (fetch
-   address or -1 when the i-cache line provably cannot have changed,
-   original instruction index for sampler attribution, basic-block id
-   at block-leader slots with its batched counter delta, and a
-   machine-fault refund per slot). *)
+(* The compiled form: one closure per micro-op plus flat side arrays of
+   decode-time constants consumed by the dispatch loop's shared
+   prologue (fetch address or -1 when the i-cache line provably cannot
+   have changed, original instruction index for sampler attribution,
+   basic-block id at block-leader slots with its batched counter delta,
+   and a machine-fault refund per slot). *)
 type program = {
   p_name : string;
   p_code_id : int;
   p_uops : uop array;
-      (* [length = slots + 1]: the last slot is a sentinel that faults
+      (* [length = uops + 1]: the last slot is a sentinel that faults
          on falling off the code end, so the dispatch loop needs no
          per-slot bounds check (every next-index is in range by
          construction). *)
@@ -192,9 +177,9 @@ type program = {
 
 type Code.cache += Decoded of program
 
-(* Fusion and block batching are how this engine works; these stay
-   only as constants for callers that stamp the engine configuration. *)
-let fuse_enabled () = true
+(* Constants for the benchmark's engine-configuration warm-up; they
+   exist only until the benchmark's next change drops the calls. *)
+let fuse_enabled () = false
 let batch_enabled () = true
 
 (* Ready times are completion timestamps: always finite, never NaN and
@@ -323,16 +308,7 @@ let add st (d : delta) =
     end
   end;
   let fs = st.fstats in
-  fs.Perf.batched_blocks <- fs.Perf.batched_blocks + d.d_blocks;
-  if d.d_fused_retired <> 0 then begin
-    fs.Perf.fused_retired <- fs.Perf.fused_retired + d.d_fused_retired;
-    let f = d.d_fused in
-    let pf = fs.Perf.fused_by_kind in
-    for fi = 0 to Perf.num_fuse_kinds - 1 do
-      let v = Array.unsafe_get f fi in
-      if v <> 0 then Array.unsafe_set pf fi (Array.unsafe_get pf fi + v)
-    done
-  end
+  fs.Perf.batched_blocks <- fs.Perf.batched_blocks + d.d_blocks
 
 let[@inline] mem_index st name a =
   if a land 1 <> 0 then fault "%s: unaligned address %d" name a;
@@ -435,47 +411,6 @@ let set_alu_flags st op a b raw =
     set_logic_flags st raw
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction fusion                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Single-cycle C_alu operators; Mul/Sdiv/Smod have their own latency
-   classes and are never fused. *)
-let simple_alu = function
-  | Insn.Add | Insn.Sub | Insn.And | Insn.Orr | Insn.Eor | Insn.Lsl
-  | Insn.Lsr | Insn.Asr ->
-    true
-  | Insn.Mul | Insn.Sdiv | Insn.Smod -> false
-
-(* Peephole classifier: which fused micro-op (if any) covers the
-   adjacent pair [k1; k2]?  Returns a [Perf] fuse-kind index or -1.
-   The caller has already established that [k2] is not a branch target
-   and that both instructions share an i-cache fetch line (so skipping
-   the intra-pair fetch is provably a no-op).
-
-   The patterns are the hot shapes the paper's measurements point at:
-   the compare feeding a conditional deopt branch (every eager check),
-   compare + conditional branch (loop back-edges and bounds checks
-   lowered as branches), load + untag shift (the software analogue of
-   the [jsldrsmi] extension's fused untagging), and ALU chains on
-   disjoint registers (straight-line arithmetic between checks). *)
-let fuse_kind_of k1 k2 =
-  match (k1, k2) with
-  | (Insn.Cmp _ | Insn.Tst _), Insn.Deopt_if _ -> Perf.f_check_deopt
-  | (Insn.Cmp _ | Insn.Tst _), Insn.Bcond _ -> Perf.f_cmp_bcond
-  | ( Insn.Ldr (d, _),
-      Insn.Alu { op; dst = _; src; rhs = Insn.Imm _; set_flags = false } )
-    when (op = Insn.Asr || op = Insn.Lsr) && src = d ->
-    Perf.f_load_untag
-  | ( Insn.Alu { op = o1; dst = d1; src = _; rhs = rhs1; set_flags = false },
-      Insn.Alu { op = o2; dst = d2; src = s2; rhs = rhs2; set_flags = false } )
-    when simple_alu o1 && simple_alu o2
-         && (match rhs1 with Insn.Reg _ | Insn.Imm _ -> true)
-         && d1 <> d2 && s2 <> d1
-         && (match rhs2 with Insn.Reg r -> r <> d1 | Insn.Imm _ -> true) ->
-    Perf.f_alu_alu
-  | _ -> -1
-
-(* ------------------------------------------------------------------ *)
 (* Decode                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -526,40 +461,6 @@ let compile (code : Code.t) : program =
     | _ -> ()
   done;
 
-  (* ---- fusion pass: assign micro-ops to dispatch slots ----
-     Greedy adjacent pairing within a block.  A pair never absorbs a
-     leader (branches must be able to land on the second instruction)
-     and never crosses an i-cache fetch line (so the intra-pair fetch
-     is provably redundant). *)
-  let slot_of_uop = Array.make (n_uops + 1) 0 in
-  let slot_first_uop = Array.make (max 1 n_uops) 0 in
-  let slot_kind = Array.make (max 1 n_uops) (-1) in
-  let n_slots = ref 0 in
-  let u = ref 0 in
-  while !u < n_uops do
-    let s = !n_slots in
-    slot_of_uop.(!u) <- s;
-    slot_first_uop.(s) <- !u;
-    let fk =
-      if
-        !u + 1 < n_uops
-        && (not leader.(!u + 1))
-        && uline !u = uline (!u + 1)
-      then fuse_kind_of (ku !u) (ku (!u + 1))
-      else -1
-    in
-    slot_kind.(s) <- fk;
-    if fk >= 0 then begin
-      slot_of_uop.(!u + 1) <- s;
-      u := !u + 2
-    end
-    else incr u;
-    incr n_slots
-  done;
-  let n_slots = !n_slots in
-  slot_of_uop.(n_uops) <- n_slots;
-  let starget l = slot_of_uop.(utarget l) in
-
   (* ---- accounting blocks: batched charges and early-exit refunds ----
      An accounting block is a control-flow block.  One backward sweep
      accumulates each block's suffix cost from the static per-uop
@@ -567,8 +468,7 @@ let compile (code : Code.t) : program =
      to the integer counters for one retired instruction (always one
      jit_instruction; one retired instruction unless Nop, which never
      issues; loads/stores/branches by issue path; check provenance from
-     [Insn.prov]).  Fused-pair coverage rides on the SECOND uop of each
-     pair, so a machine fault in the first half refunds the whole pair.
+     [Insn.prov]).
 
      Before micro-op [u] is added, the suffix is the cost strictly
      AFTER [u]: exactly what the block-entry charge over-counted if
@@ -587,9 +487,9 @@ let compile (code : Code.t) : program =
   let n_blocks = !n_blocks in
   let p_deltas = Array.make (max 1 n_blocks) no_delta in
   let refund_at = Array.make (n_uops + 1) no_delta in
-  let g = Array.make 6 0 and f = Array.make Perf.num_fuse_kinds 0 in
+  let g = Array.make 6 0 in
   let ai = ref 0 and aj = ref 0 and al = ref 0 and asr_ = ref 0 in
-  let ab = ref 0 and ac = ref 0 and acb = ref 0 and afr = ref 0 in
+  let ab = ref 0 and ac = ref 0 and acb = ref 0 in
   let suffix sign =
     {
       d_instr = sign * !ai;
@@ -600,16 +500,13 @@ let compile (code : Code.t) : program =
       d_chk = sign * !ac;
       d_chkbr = sign * !acb;
       d_groups = (if !ac <> 0 then Array.map (( * ) sign) g else zeros6);
-      d_fused = (if !afr <> 0 then Array.map (( * ) sign) f else zerosf);
-      d_fused_retired = sign * !afr;
       d_blocks = (if sign > 0 then 1 else 0);
     }
   in
   for u = n_uops - 1 downto 0 do
     if leader.(u + 1) then begin
-      List.iter (fun r -> r := 0) [ ai; aj; al; asr_; ab; ac; acb; afr ];
-      Array.fill g 0 6 0;
-      Array.fill f 0 Perf.num_fuse_kinds 0
+      List.iter (fun r -> r := 0) [ ai; aj; al; asr_; ab; ac; acb ];
+      Array.fill g 0 6 0
     end;
     if !aj > 0 then refund_at.(u) <- suffix (-1);
     let insn = insns.(insn_of_uop.(u)) in
@@ -629,11 +526,6 @@ let compile (code : Code.t) : program =
       g.(gi) <- g.(gi) + 1;
       (match insn.Insn.kind with Insn.Deopt_if _ -> incr acb | _ -> ())
     | Insn.Main_line | Insn.Shared -> ());
-    let s = slot_of_uop.(u) in
-    if slot_first_uop.(s) <> u then begin
-      f.(slot_kind.(s)) <- f.(slot_kind.(s)) + 1;
-      afr := !afr + 2
-    end;
     if leader.(u) then p_deltas.(block_of_uop.(u)) <- suffix 1
   done;
 
@@ -673,10 +565,10 @@ let compile (code : Code.t) : program =
       fun st -> fmax (tget st b) (tget st ix)
   in
 
-  (* The body of one singleton micro-op: the instruction's semantics
-     with every operand pre-resolved.  [next] is the slot-space
-     fall-through successor; [rf] the early-exit refund applied when
-     this micro-op leaves its block mid-way (deopt bailout paths). *)
+  (* The body of one micro-op: the instruction's semantics with every
+     operand pre-resolved.  [next] is the fall-through successor; [rf]
+     the early-exit refund applied when this micro-op leaves its block
+     mid-way (deopt bailout paths). *)
   let body i ~next ~rf (k : Insn.kind) : uop =
     let bpc = base + i in
     match k with
@@ -771,48 +663,19 @@ let compile (code : Code.t) : program =
         | Insn.Sdiv | Insn.Smod -> Cpu.C_div
         | _ -> Cpu.C_alu
       in
-      (* Specialize the dominant flag-free add/sub forms; everything
-         else shares a generic body with the operator pre-captured. *)
+      (* Flag-free single-cycle forms take the inlined ALU issue path;
+         everything else shares a generic body.  Both capture the
+         operator at decode time. *)
       let dst = vreg dst and src = vreg src in
-      match (op, rhs, set_flags) with
-      | Insn.Add, Insn.Imm v, false ->
-        fun st ->
-          let a = rget st src in
-          let t = issue_alu st ~ready:(tget st src) in
-          rset st dst (sext32 (a + v));
-          tset st dst t;
-          next
-      | Insn.Add, Insn.Reg r, false ->
-        let r = vreg r in
-        fun st ->
-          let a = rget st src and b = rget st r in
-          let t = issue_alu st ~ready:(fmax (tget st src) (tget st r)) in
-          rset st dst (sext32 (a + b));
-          tset st dst t;
-          next
-      | Insn.Sub, Insn.Imm v, false ->
-        fun st ->
-          let a = rget st src in
-          let t = issue_alu st ~ready:(tget st src) in
-          rset st dst (sext32 (a - v));
-          tset st dst t;
-          next
-      | Insn.Sub, Insn.Reg r, false ->
-        let r = vreg r in
-        fun st ->
-          let a = rget st src and b = rget st r in
-          let t = issue_alu st ~ready:(fmax (tget st src) (tget st r)) in
-          rset st dst (sext32 (a - b));
-          tset st dst t;
-          next
-      | _, Insn.Imm v, false when cls = Cpu.C_alu ->
+      match (rhs, set_flags) with
+      | Insn.Imm v, false when cls = Cpu.C_alu ->
         fun st ->
           let a = rget st src in
           let t = issue_alu st ~ready:(tget st src) in
           rset st dst (sext32 (alu_raw op a v));
           tset st dst t;
           next
-      | _, Insn.Reg r, false when cls = Cpu.C_alu ->
+      | Insn.Reg r, false when cls = Cpu.C_alu ->
         let r = vreg r in
         fun st ->
           let a = rget st src and b = rget st r in
@@ -820,7 +683,7 @@ let compile (code : Code.t) : program =
           rset st dst (sext32 (alu_raw op a b));
           tset st dst t;
           next
-      | _, Insn.Imm v, _ ->
+      | Insn.Imm v, _ ->
         fun st ->
           let a = st.regs.(src) in
           let t = issue_cls st ~cls ~ready:st.rr.(src) in
@@ -830,7 +693,7 @@ let compile (code : Code.t) : program =
           st.rr.(dst) <- t;
           if set_flags then st.clk.Cpu.flags_ready <- t;
           next
-      | _, Insn.Reg r, _ ->
+      | Insn.Reg r, _ ->
         fun st ->
           let a = st.regs.(src) and b = st.regs.(r) in
           let t = issue_cls st ~cls ~ready:(fmax st.rr.(src) st.rr.(r)) in
@@ -972,12 +835,12 @@ let compile (code : Code.t) : program =
         st.rr.(d) <- t;
         next
     | Insn.B l ->
-      let tgt = starget l in
+      let tgt = utarget l in
       fun st ->
         ignore (issue_branch st ~pc:bpc ~ready:0.0 ~taken:true);
         tgt
     | Insn.Bcond (c, l) ->
-      let tgt = starget l in
+      let tgt = utarget l in
       let cond = cond_fn c in
       fun st ->
         let taken = cond st in
@@ -1162,171 +1025,6 @@ let compile (code : Code.t) : program =
         next
   in
 
-  (* ---- fused micro-op builders ----
-     Each fused closure executes both instructions' semantics and both
-     issue paths in exactly the direct interpreter's order; the only
-     per-instruction prologue work between the halves is the sampler's
-     attribution PC (the intra-pair fetch is statically a no-op, and
-     counters are batched).  [pc2]/[bpc2] are the second instruction's
-     sampler pc and branch address. *)
-  let fused_cmp_branch s u1 =
-    let u2 = u1 + 1 in
-    let i2 = insn_of_uop.(u2) in
-    let next = s + 1 in
-    let pc2 = i2 in
-    let bpc2 = base + i2 in
-    let is_tst, a, rhs =
-      match ku u1 with
-      | Insn.Cmp (a, rhs) -> (false, a, rhs)
-      | Insn.Tst (a, rhs) -> (true, a, rhs)
-      | _ -> assert false
-    in
-    let a = vreg a in
-    let b_reg, b_imm =
-      match rhs with Insn.Reg r -> (vreg r, 0) | Insn.Imm v -> (-1, v)
-    in
-    match ku u2 with
-    | Insn.Deopt_if (c, dp) ->
-      let cond = cond_fn c in
-      let point = deopts.(dp) in
-      let reason = point.Code.reason in
-      let rf = refund_at.(u2) in
-      fun st ->
-        let av = rget st a in
-        let bv = if b_reg >= 0 then rget st b_reg else b_imm in
-        let ready =
-          if b_reg >= 0 then fmax (tget st a) (tget st b_reg) else tget st a
-        in
-        let t = issue_alu st ~ready in
-        if is_tst then set_logic_flags st (av land bv)
-        else set_add_sub_flags st av bv (av - bv) true;
-        st.clk.Cpu.flags_ready <- t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let taken = cond st in
-        issue_branch st ~pc:bpc2 ~ready:t ~taken;
-        if taken then begin
-          st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
-          add st rf;
-          st.outcome <-
-            Deopt
-              {
-                deopt_id = dp;
-                reason;
-                snapshot = take_snapshot st;
-                via_smi_ext = false;
-              };
-          -1
-        end
-        else next
-    | Insn.Bcond (c, l) ->
-      let tgt = starget l in
-      let cond = cond_fn c in
-      fun st ->
-        let av = rget st a in
-        let bv = if b_reg >= 0 then rget st b_reg else b_imm in
-        let ready =
-          if b_reg >= 0 then fmax (tget st a) (tget st b_reg) else tget st a
-        in
-        let t = issue_alu st ~ready in
-        if is_tst then set_logic_flags st (av land bv)
-        else set_add_sub_flags st av bv (av - bv) true;
-        st.clk.Cpu.flags_ready <- t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let taken = cond st in
-        issue_branch st ~pc:bpc2 ~ready:t ~taken;
-        if taken then tgt else next
-    | _ -> assert false
-  in
-  let fused_ldr_untag s u1 =
-    let u2 = u1 + 1 in
-    let next = s + 1 in
-    let pc2 = insn_of_uop.(u2) in
-    let d, am =
-      match ku u1 with Insn.Ldr (d, a) -> (vreg d, a) | _ -> assert false
-    in
-    let op2, dst2, v2 =
-      match ku u2 with
-      | Insn.Alu { op; dst; src = _; rhs = Insn.Imm v; set_flags = _ } ->
-        (op, vreg dst, v)
-      | _ -> assert false
-    in
-    match am.Insn.index with
-    | None ->
-      let b = vreg am.Insn.base and off = am.Insn.offset in
-      fun st ->
-        let ea = rget st b + off in
-        let t = issue_load st ~ready:(tget st b) ~addr:ea in
-        let w = Array.unsafe_get st.mem (mem_index st name ea) in
-        rset st d w;
-        tset st d t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let t2 = issue_alu st ~ready:t in
-        rset st dst2 (sext32 (alu_raw op2 w v2));
-        tset st dst2 t2;
-        next
-    | Some _ ->
-      let ea = eff am and rdy = aready am in
-      fun st ->
-        let eav = ea st in
-        let t = issue_load st ~ready:(rdy st) ~addr:eav in
-        let w = Array.unsafe_get st.mem (mem_index st name eav) in
-        rset st d w;
-        tset st d t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let t2 = issue_alu st ~ready:t in
-        rset st dst2 (sext32 (alu_raw op2 w v2));
-        tset st dst2 t2;
-        next
-  in
-  let fused_alu_alu s u1 =
-    let u2 = u1 + 1 in
-    let next = s + 1 in
-    let pc2 = insn_of_uop.(u2) in
-    let dec u =
-      match ku u with
-      | Insn.Alu { op; dst; src; rhs; set_flags = _ } ->
-        let r, v =
-          match rhs with Insn.Reg r -> (vreg r, 0) | Insn.Imm v -> (-1, v)
-        in
-        (op, vreg dst, vreg src, r, v)
-      | _ -> assert false
-    in
-    let o1, d1, s1, r1, v1 = dec u1 in
-    let o2, d2, s2, r2, v2 = dec u2 in
-    fun st ->
-      let a1 = rget st s1 in
-      let b1 = if r1 >= 0 then rget st r1 else v1 in
-      let ready1 =
-        if r1 >= 0 then fmax (tget st s1) (tget st r1) else tget st s1
-      in
-      let t1 = issue_alu st ~ready:ready1 in
-      rset st d1 (sext32 (alu_raw o1 a1 b1));
-      tset st d1 t1;
-      if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-      let a2 = rget st s2 in
-      let b2 = if r2 >= 0 then rget st r2 else v2 in
-      let ready2 =
-        if r2 >= 0 then fmax (tget st s2) (tget st r2) else tget st s2
-      in
-      let t2 = issue_alu st ~ready:ready2 in
-      rset st d2 (sext32 (alu_raw o2 a2 b2));
-      tset st d2 t2;
-      next
-  in
-
-  (* Kinds whose body can raise [Machine_fault] partway through (memory
-     access after issue).  For slots led by one of these, the fault
-     refund covers the suffix INCLUDING the fused partner; otherwise a
-     fault can only escape after the whole slot's semantics, so the
-     refund is the suffix after the slot. *)
-  let fault_capable u =
-    match ku u with
-    | Insn.Ldr _ | Insn.Str _ | Insn.Ldr_f _ | Insn.Str_f _ | Insn.Alu_mem _
-    | Insn.Cmp_mem _ | Insn.Js_ldr_smi _ | Insn.Js_chk_map _ ->
-      true
-    | _ -> false
-  in
-
   (* One trailing sentinel slot: reachable only by falling through the
      last instruction (or branching to a trailing pseudo), where the
      direct engine faults with the same message.  Its side-array
@@ -1334,34 +1032,21 @@ let compile (code : Code.t) : program =
      before the fault fires — same as the direct engine's bounds
      check. *)
   let sentinel (_ : st) : int = fault "%s: fell off code end" name in
-  let uops = Array.make (n_slots + 1) sentinel in
-  let addrs = Array.make (n_slots + 1) (-1) in
-  let pcs = Array.make (n_slots + 1) 0 in
-  let blocks = Array.make (n_slots + 1) (-1) in
-  let faults = Array.make (n_slots + 1) no_delta in
-  let fused_static = Array.make Perf.num_fuse_kinds 0 in
-  for s = 0 to n_slots - 1 do
-    let u1 = slot_first_uop.(s) in
-    let fk = slot_kind.(s) in
-    let i1 = insn_of_uop.(u1) in
-    pcs.(s) <- i1;
+  let uops = Array.make (n_uops + 1) sentinel in
+  let addrs = Array.make (n_uops + 1) (-1) in
+  let pcs = Array.make (n_uops + 1) 0 in
+  let blocks = Array.make (n_uops + 1) (-1) in
+  for u = 0 to n_uops - 1 do
+    let i = insn_of_uop.(u) in
+    pcs.(u) <- i;
     (* Fetch is dynamic at control-flow block leaders (the predecessor
        is unknown: branch, call return, or a nested activation may
        have moved the fetch line).  Mid-block, the predecessor is
        always the previous micro-op, so a same-line fetch is provably
        the [last_iline] no-op and is elided at decode time. *)
-    if leader.(u1) || uline u1 <> uline (u1 - 1) then addrs.(s) <- base + i1;
-    if leader.(u1) then blocks.(s) <- block_of_uop.(u1);
-    let last_u = if fk >= 0 then u1 + 1 else u1 in
-    faults.(s) <- refund_at.(if fault_capable u1 then u1 else last_u);
-    if fk >= 0 then begin
-      fused_static.(fk) <- fused_static.(fk) + 1;
-      uops.(s) <-
-        (if fk = Perf.f_load_untag then fused_ldr_untag s u1
-         else if fk = Perf.f_alu_alu then fused_alu_alu s u1
-         else fused_cmp_branch s u1)
-    end
-    else uops.(s) <- body i1 ~next:(s + 1) ~rf:refund_at.(u1) (ku u1)
+    if leader.(u) || uline u <> uline (u - 1) then addrs.(u) <- base + i;
+    if leader.(u) then blocks.(u) <- block_of_uop.(u);
+    uops.(u) <- body i ~next:(u + 1) ~rf:refund_at.(u) (ku u)
   done;
   {
     p_name = name;
@@ -1371,14 +1056,8 @@ let compile (code : Code.t) : program =
     p_pcs = pcs;
     p_blocks = blocks;
     p_deltas;
-    p_faults = faults;
-    p_stats =
-      {
-        st_uops = n_uops;
-        st_slots = n_slots;
-        st_blocks = n_blocks;
-        st_fused = fused_static;
-      };
+    p_faults = refund_at;
+    p_stats = { st_uops = n_uops; st_blocks = n_blocks };
   }
 
 let get (code : Code.t) =
@@ -1391,9 +1070,7 @@ let get (code : Code.t) =
       let st = p.p_stats in
       Trace.instant_wall ~cat:"machine"
         ~arg:
-          (Printf.sprintf "uops=%d slots=%d blocks=%d fused=%d" st.st_uops
-             st.st_slots st.st_blocks
-             (Array.fold_left ( + ) 0 st.st_fused))
+          (Printf.sprintf "uops=%d blocks=%d" st.st_uops st.st_blocks)
         ("decode:" ^ code.Code.name)
     end;
     p
@@ -1421,7 +1098,6 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
       clk = cpu.Cpu.clk;
       inorder = cpu.Cpu.cfg.Cpu.inorder;
       sampler = cpu.Cpu.sampler;
-      sampling = cpu.Cpu.sampler <> None;
       bp = cpu.Cpu.bp;
       counters = cpu.Cpu.counters;
       fstats = cpu.Cpu.fstats;
@@ -1448,7 +1124,7 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
   let blocks = p.p_blocks and deltas = p.p_deltas and faults = p.p_faults in
   let clk = st.clk in
   cpu.Cpu.cur_code <- p.p_code_id;
-  (* Every next-index a micro-op can return is within [0, slots]
+  (* Every next-index a micro-op can return is within [0, uops]
      (straight-line successors and decode-resolved branch targets), and
      the last slot holds the fell-off-code-end sentinel, so the loop
      indexes the arrays unchecked.

@@ -5,8 +5,8 @@
     indexes, effective-address components, immediate values, latency
     class, fetch address and instruction-cache line, check provenance
     (group index and deopt-branch flag), deopt-point metadata, and
-    branch targets remapped onto the pseudo-free micro-op array.  The
-    dispatch loop in {!run} then retires one instruction per indirect
+    branch targets remapped onto the pseudo-free micro-op array, one
+    dispatch slot per instruction.  The dispatch loop in {!run} then retires one instruction per indirect
     call — an accumulator-threaded loop in which each micro-op returns
     the index of its successor — instead of re-matching on
     [Insn.kind] every iteration as [Exec.run_direct] does.
@@ -79,8 +79,8 @@ val reason_code : Insn.deopt_reason -> int
 (** {1 Decoding} *)
 
 type program
-(** A compiled code object: the flat dispatch-slot array (singleton or
-    fused micro-ops) plus per-block batched counter deltas. *)
+(** A compiled code object: the flat micro-op array plus per-block
+    batched counter deltas. *)
 
 type Code.cache += Decoded of program
 
@@ -95,30 +95,27 @@ val warm : Code.t -> unit
 (** Populate the decode cache eagerly (used at JIT-compile time so the
     first execution does not pay the decode). *)
 
-(** {1 Fusion and block batching}
+(** {1 Block batching}
 
-    The fusion pass peepholes hot adjacent micro-op pairs into single
-    fused closures (compare + conditional deopt branch, compare +
-    [b.cond], load + untag shift — the software [jsldrsmi] analogue —
-    and ALU + ALU on disjoint registers); the batching pass charges
-    each straight-line block's static integer counters once at block
-    entry, with exact decode-time refunds on cold early exits (deopt
-    bailouts, machine faults) so counters stay bit-identical to the
-    direct interpreter on every path.  Both passes always run;
-    [VSPEC_EXEC=direct] selects the per-instruction interpreter. *)
+    The batching pass charges each straight-line block's static integer
+    counters once at block entry, with exact decode-time refunds on
+    cold early exits (deopt bailouts, machine faults) so counters stay
+    bit-identical to the direct interpreter on every path.  It always
+    runs; [VSPEC_EXEC=direct] selects the per-instruction interpreter. *)
 
 val fuse_enabled : unit -> bool
-(** Always [true]; kept for callers that stamp the engine configuration. *)
+(** Always [false]: every micro-op has its own dispatch slot.  Exists
+    only until the benchmark's next change stops calling it. *)
 
 val batch_enabled : unit -> bool
-(** Always [true]; kept for callers that stamp the engine configuration. *)
+(** Always [true].  Exists only until the benchmark's next change stops
+    calling it. *)
 
 (** Decode-time static coverage of one compiled program. *)
 type stats = {
-  st_uops : int;  (** micro-ops (non-pseudo instructions) *)
-  st_slots : int;  (** dispatch slots = micro-ops − fused pairs *)
+  st_uops : int;
+      (** micro-ops (non-pseudo instructions), one dispatch slot each *)
   st_blocks : int;  (** accounting (control-flow) blocks *)
-  st_fused : int array;  (** static fused pairs per {!Perf} fuse kind *)
 }
 
 val stats : program -> stats

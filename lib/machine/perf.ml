@@ -79,47 +79,24 @@ let builtin_code_id = -2
 let gc_code_id = -3
 
 (* ------------------------------------------------------------------ *)
-(* Fusion / block-batching observability                               *)
+(* Block-batching observability                                        *)
 (*                                                                     *)
-(* These counters describe how the pre-decoded engine executed — how   *)
-(* many instructions retired inside fused super-instructions, of which *)
-(* peephole kind, and how many block-batched accounting charges were   *)
-(* taken.  They deliberately live OUTSIDE [counters]: harness results  *)
-(* marshal the [counters] record wholesale and the determinism suite   *)
-(* digests them, so anything engine-specific must not be in there      *)
-(* (the direct interpreter fuses nothing by definition).               *)
+(* How many block-batched accounting charges the pre-decoded engine    *)
+(* took.  Deliberately OUTSIDE [counters]: harness results marshal the *)
+(* [counters] record wholesale and the determinism suite digests them, *)
+(* so anything engine-specific must not be in there.                   *)
 (* ------------------------------------------------------------------ *)
 
-let f_check_deopt = 0
-let f_cmp_bcond = 1
-let f_load_untag = 2
-let f_alu_alu = 3
-let num_fuse_kinds = 4
-
-let fuse_kind_name = function
-  | 0 -> "check_deopt"
-  | 1 -> "cmp_bcond"
-  | 2 -> "load_untag"
-  | 3 -> "alu_alu"
-  | _ -> invalid_arg "Perf.fuse_kind_name"
-
-type fusion = {
+type batching = {
   mutable fused_retired : int;
-  fused_by_kind : int array;
   mutable batched_blocks : int;
 }
 
-let create_fusion () =
-  {
-    fused_retired = 0;
-    fused_by_kind = Array.make num_fuse_kinds 0;
-    batched_blocks = 0;
-  }
+let create_batching () = { fused_retired = 0; batched_blocks = 0 }
 
-let reset_fusion f =
-  f.fused_retired <- 0;
-  Array.fill f.fused_by_kind 0 num_fuse_kinds 0;
-  f.batched_blocks <- 0
+let reset_batching b =
+  b.fused_retired <- 0;
+  b.batched_blocks <- 0
 
 type sampler = {
   period : float;

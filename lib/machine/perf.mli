@@ -41,39 +41,26 @@ val runtime_code_id : int
 val builtin_code_id : int
 val gc_code_id : int
 
-(** {1 Fusion / block-batching observability}
+(** {1 Block-batching observability}
 
-    Coverage counters for the pre-decoded engine's superinstruction
-    fusion and block-batched accounting.  Kept outside {!counters} on
-    purpose: harness results marshal the whole [counters] record and the
-    determinism suite digests them, so engine-specific statistics there
-    would break the direct-vs-decoded bit-identity contract. *)
+    Coverage counter for the pre-decoded engine's block-batched
+    accounting.  Kept outside {!counters} on purpose: harness results
+    marshal the whole [counters] record and the determinism suite
+    digests them, so engine-specific statistics there would break the
+    direct-vs-decoded bit-identity contract. *)
 
-val f_check_deopt : int
-(** cmp/tst + conditional deopt branch *)
-
-val f_cmp_bcond : int
-(** cmp/tst + [b.cond] *)
-
-val f_load_untag : int
-(** load + untag shift (software [jsldrsmi]) *)
-
-val f_alu_alu : int
-(** ALU + ALU on disjoint registers *)
-
-val num_fuse_kinds : int
-val fuse_kind_name : int -> string
-
-type fusion = {
+type batching = {
   mutable fused_retired : int;
-      (** dynamic instructions retired inside fused micro-ops *)
-  fused_by_kind : int array;  (** fused-pair executions per kind *)
+      (** always 0: the decoded engine gives every micro-op its own
+          dispatch slot.  Exists only until the benchmark's next change
+          stops reading it. *)
   mutable batched_blocks : int;
-      (** block-granular accounting charges taken (0 when batching off) *)
+      (** block-granular accounting charges taken (0 under the direct
+          interpreter) *)
 }
 
-val create_fusion : unit -> fusion
-val reset_fusion : fusion -> unit
+val create_batching : unit -> batching
+val reset_batching : batching -> unit
 
 type sampler
 

@@ -1,32 +1,34 @@
-(* Decode-cache and fusion-pass coverage: cache hits and invalidation
-   through fresh code objects, exact static pairing on a known snippet
-   that exercises all four fuse kinds, dynamic fusion/batching counters,
-   and a golden-model test of the branch predictor's hot path. *)
+(* Decode-cache and block-batching coverage: cache hits and invalidation
+   through fresh code objects, the exact static shape of a known snippet
+   (one dispatch slot per micro-op, its accounting blocks), the dynamic
+   batching counters against the direct engine, and a golden-model test
+   of the branch predictor's hot path. *)
 
 let () = Unix.putenv "VSPEC_CACHE_DIR" "off"
 
 (* A 15-instruction snippet (one i-cache line at base 0x100) whose loop
-   body contains exactly one statically fusible pair of each kind:
+   body mixes a check, a load + untag, ALU ops and a compare + branch:
 
-     mov r0, #0            ; uop 0   singleton
-     mov r1, #16           ; uop 1   singleton
-     mov r5, #2            ; uop 2   singleton (even: Tst.Ne never fires)
+     mov r0, #0            ; uop 0
+     mov r1, #16           ; uop 1
+     mov r5, #2            ; uop 2   (even: Tst.Ne never fires)
    L0:
-     tst r5, #1            ; uop 3 \  check_deopt pair
-     deopt_if ne, dp0      ; uop 4 /
-     ldr r2, [r1]          ; uop 5 \  load_untag pair
-     asr r2, r2, #1        ; uop 6 /
-     add r3, r0, #5        ; uop 7 \  alu_alu pair (disjoint regs)
-     eor r4, r1, #9        ; uop 8 /
-     add r0, r0, #1        ; uop 9   singleton (next uop is a Cmp)
-     cmp r0, #4            ; uop 10 \  cmp_bcond pair
-     b.lt L0               ; uop 11 /
-     mov r0, r3            ; uop 12  singleton
-     ret                   ; uop 13  singleton
+     tst r5, #1            ; uop 3
+     deopt_if ne, dp0      ; uop 4
+     ldr r2, [r1]          ; uop 5
+     asr r2, r2, #1        ; uop 6
+     add r3, r0, #5        ; uop 7
+     eor r4, r1, #9        ; uop 8
+     add r0, r0, #1        ; uop 9
+     cmp r0, #4            ; uop 10
+     b.lt L0               ; uop 11
+     mov r0, r3            ; uop 12
+     ret                   ; uop 13
 
+   The label compiles away, leaving 14 micro-ops in 14 dispatch slots.
    Leaders are uops {0, 3, 12} (entry, loop target, Bcond successor),
-   so batching yields 3 accounting blocks; 14 uops - 4 pairs = 10
-   dispatch slots.  The loop runs 4 iterations and returns r3 = 8. *)
+   so batching yields 3 accounting blocks.  The loop runs 4 iterations
+   and returns r3 = 8. *)
 let snippet () =
   let i k = Insn.make k in
   let alu ~op ~dst ~src rhs =
@@ -61,33 +63,30 @@ let null_host () =
     call_js = (fun _ _ -> 0) }
 
 let test_static_pairing () =
-  let st = Decode.stats (Decode.compile (snippet ())) in
+  let code = snippet () in
+  let st = Decode.stats (Decode.compile code) in
   Alcotest.(check int) "micro-ops" 14 st.Decode.st_uops;
-  Alcotest.(check int) "slots = uops - pairs" 10 st.Decode.st_slots;
-  Alcotest.(check int) "accounting blocks" 3 st.Decode.st_blocks;
-  Alcotest.(check (array int)) "one static pair of each kind" [| 1; 1; 1; 1 |]
-    st.Decode.st_fused
+  Alcotest.(check int) "one dispatch slot per micro-op"
+    (Code.real_instructions code) st.Decode.st_uops;
+  Alcotest.(check int) "accounting blocks" 3 st.Decode.st_blocks
 
 let test_fresh_code_invalidation () =
   (* A cached program is reused for its code object.  Recompilation
      always builds a fresh [Code.t], so a stale program cannot be
-     served; the fresh object re-runs the fusion pass from scratch and
-     reaches the same static coverage. *)
+     served; the fresh object is decoded from scratch and reaches the
+     same static shape. *)
   let c1 = snippet () in
   let p1 = Decode.get c1 in
   Alcotest.(check bool) "second get is a cache hit" true (p1 == Decode.get c1);
   let p2 = Decode.get (snippet ()) in
   Alcotest.(check bool) "fresh code object, fresh program" true (p2 != p1);
-  Alcotest.(check (array int)) "fusion re-ran on the fresh body"
-    (Decode.stats p1).Decode.st_fused (Decode.stats p2).Decode.st_fused;
-  Alcotest.(check int) "same slot count" (Decode.stats p1).Decode.st_slots
-    (Decode.stats p2).Decode.st_slots
+  Alcotest.(check bool) "same static shape" true
+    (Decode.stats p1 = Decode.stats p2)
 
 let test_dynamic_coverage () =
-  (* 4 loop iterations x 4 fused pairs = 16 pair executions (32 fused
-     retired instructions); blocks charged: prologue + 4 loop bodies +
-     epilogue = 6.  The batched integer counters equal the direct
-     interpreter's per-instruction ones. *)
+  (* Blocks charged: prologue + 4 loop bodies + epilogue = 6.  The
+     batched integer counters equal the direct interpreter's
+     per-instruction ones. *)
   let run engine =
     Exec.set_engine (Some engine);
     Fun.protect
@@ -96,16 +95,15 @@ let test_dynamic_coverage () =
         let cpu = Cpu.create Cpu.fast_arm64 in
         (match Exec.run cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||]
          with
-        | Exec.Done v -> Alcotest.(check int) "fused semantics intact" 8 v
+        | Exec.Done v -> Alcotest.(check int) "semantics intact" 8 v
         | _ -> Alcotest.fail "expected Done");
         cpu)
   in
   let direct = run Exec.Direct and cpu = run Exec.Decoded in
-  let fs = cpu.Cpu.fstats in
-  Alcotest.(check int) "fused retired" 32 fs.Perf.fused_retired;
-  Alcotest.(check (array int)) "pair executions by kind" [| 4; 4; 4; 4 |]
-    fs.Perf.fused_by_kind;
-  Alcotest.(check int) "batched block charges" 6 fs.Perf.batched_blocks;
+  Alcotest.(check int) "batched block charges" 6
+    cpu.Cpu.fstats.Perf.batched_blocks;
+  Alcotest.(check int) "direct engine batches nothing" 0
+    direct.Cpu.fstats.Perf.batched_blocks;
   Alcotest.(check string) "counters equal direct's"
     (Digest.to_hex (Digest.string (Marshal.to_string direct.Cpu.counters [])))
     (Digest.to_hex (Digest.string (Marshal.to_string cpu.Cpu.counters [])))

@@ -126,7 +126,7 @@ let base_suite =
       ] );
   ]
 
-let test_fused_map_check_correct_and_bails () =
+let test_map_check_correct_and_bails () =
   (* The future-work fused map check: correct results, and the bailout
      resumes the interpreter when the shape changes. *)
   let src =
@@ -179,6 +179,6 @@ function bench() { return total(); }
 
 let extra_engine_suite =
   [ ( "map-fuse",
-      [ Alcotest.test_case "correct + bails" `Quick test_fused_map_check_correct_and_bails ] ) ]
+      [ Alcotest.test_case "correct + bails" `Quick test_map_check_correct_and_bails ] ) ]
 
 let suite = base_suite @ extra_engine_suite

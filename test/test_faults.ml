@@ -185,9 +185,9 @@ let test_watchdog_both_engines () =
     [ Exec.Direct; Exec.Decoded ]
 
 (* One long straight-line accounting block per loop iteration: eight
-   ALU ops (which pairwise fuse on disjoint registers) and an
-   unconditional back-edge.  Under block batching the fuel check runs
-   once per block entry, so this is the worst case for overshoot. *)
+   ALU ops and an unconditional back-edge.  Under block batching the
+   fuel check runs once per block entry, so this is the worst case for
+   overshoot. *)
 let straight_spin () =
   mk_code
     ([ Insn.Label 0 ]

@@ -544,10 +544,10 @@ let test_float_mem_second_word_bounds () =
 
 (* Same program, fresh CPUs: both engines must agree on the outcome (or
    the machine fault) and on the complete timing/counter state.  Besides
-   a plain loop, two programs leave a batched block early from inside a
-   fused pair, where the decoded engine must refund the unexecuted
-   block suffix exactly: a deopt taken in a check + deopt_if pair, and
-   a fault in the load half of a load + untag pair. *)
+   a plain loop, two programs leave a batched block mid-way, where the
+   decoded engine must refund the unexecuted block suffix exactly: a
+   deopt taken by a check's deopt_if, and a fault in a load that has
+   already issued. *)
 let test_engines_bit_identical () =
   let alu ?(set_flags = false) op dst src rhs =
     Insn.Alu { op; dst; src; rhs; set_flags }
@@ -572,7 +572,7 @@ let test_engines_bit_identical () =
   in
   (* The check fires on the fourth iteration, mid-block, with a store,
      an ALU op and the return still ahead in the block. *)
-  let fused_deopt =
+  let mid_block_deopt =
     plain
       [ Insn.Mov (0, Insn.Imm 0);
         Insn.Mov (1, Insn.Imm 0);
@@ -589,9 +589,9 @@ let test_engines_bit_identical () =
           Insn.Bcond (Insn.Ne, 0);
           Insn.Ret ]
   in
-  (* The load faults on an unaligned address after it has issued; its
-     untag partner, an ALU op and the return are never executed. *)
-  let fused_fault =
+  (* The load faults on an unaligned address after it has issued; the
+     untag shift, an ALU op and the return are never executed. *)
+  let mid_block_fault =
     plain
       [ Insn.Mov (0, Insn.Imm 0);
         Insn.Mov (1, Insn.Imm 3);
@@ -627,13 +627,7 @@ let test_engines_bit_identical () =
           Digest.string (Marshal.to_string memory []) ))
   in
   List.iter
-    (fun (name, insns, fused_kind, expect) ->
-      if fused_kind >= 0 then
-        Alcotest.(check int)
-          (name ^ ": pair is fused")
-          1
-          (Decode.stats (Decode.compile (assemble insns))).Decode.st_fused
-            .(fused_kind);
+    (fun (name, insns, expect) ->
       let o1, c1, k1, m1 = measure Exec.Direct insns in
       let o2, c2, k2, m2 = measure Exec.Decoded insns in
       Alcotest.(check bool) (name ^ ": expected exit") true (expect o1);
@@ -643,14 +637,12 @@ let test_engines_bit_identical () =
         (Digest.to_hex k2);
       Alcotest.(check string) (name ^ ": same memory") (Digest.to_hex m1)
         (Digest.to_hex m2))
-    [ ("loop", loop, -1, function Ok (Exec.Done _) -> true | _ -> false);
-      ( "fused deopt",
-        fused_deopt,
-        Perf.f_check_deopt,
+    [ ("loop", loop, function Ok (Exec.Done _) -> true | _ -> false);
+      ( "mid-block deopt",
+        mid_block_deopt,
         function Ok (Exec.Deopt _) -> true | _ -> false );
-      ( "fused fault",
-        fused_fault,
-        Perf.f_load_untag,
+      ( "mid-block fault",
+        mid_block_fault,
         function Error _ -> true | Ok _ -> false ) ]
 
 let extra_suite =

@@ -70,7 +70,6 @@ let config t = t.cfg
 let output t = Buffer.contents t.rt.Runtime.output
 let cycles t = Cpu.cycles t.cpu
 let compile_count t = t.compile_count
-let bailout_log t = t.bailouts
 
 let code_of_fid t fid = Hashtbl.find_opt t.codes_by_fid fid
 let code_of_id t cid = Hashtbl.find_opt t.codes_by_id cid

@@ -87,5 +87,3 @@ val compile_now : t -> string -> (Code.t, string) result
 val tier_of_fid : t -> int -> [ `Baseline | `Optimized ] option
 val deopt_counts : t -> (Insn.deopt_reason * int) list
 val compile_count : t -> int
-val bailout_log : t -> (string * string) list
-(** Functions the optimizer refused, with reasons. *)

@@ -75,7 +75,6 @@ let array_words = 4
 let elements_header = 2
 let string_length_field = 1
 let string_chars_field = 3
-let heap_number_payload = 1
 let function_id_field = 1
 let function_context_field = 2
 let function_prototype_field = 3
@@ -252,7 +251,6 @@ let undefined t = t.undef
 let null_value t = t.nul
 let true_value t = t.tru
 let false_value t = t.fals
-let the_hole t = t.hole
 let bool_value t b = if b then t.tru else t.fals
 
 let is_truthy_oddball t v =
@@ -277,12 +275,6 @@ let heap_number_value t ptr =
   let lo = Int64.of_int (t.mem.(idx + 1) land 0xFFFFFFFF) in
   let hi = Int64.of_int (t.mem.(idx + 2) land 0xFFFFFFFF) in
   Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32))
-
-let set_heap_number t ptr v =
-  let idx = Value.pointer_index ptr in
-  let bits = Int64.bits_of_float v in
-  t.mem.(idx + 1) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  t.mem.(idx + 2) <- Int64.to_int (Int64.shift_right_logical bits 32)
 
 let is_number t v =
   Value.is_smi v || instance_type_of t v = It_heap_number
@@ -329,8 +321,6 @@ let string_value t ptr =
   String.init n (fun i -> Char.chr (string_char_code t ptr i land 0xFF))
 
 (* ---------------- Objects and hidden classes ---------------- *)
-
-let empty_object_map_id t = t.empty_object_map
 
 let new_object_map t ~prototype =
   register_map t ~itype:It_object ~prototype ~elements_kind:None
@@ -437,10 +427,6 @@ let set_property t obj name v =
 
 (* ---------------- Arrays ---------------- *)
 
-let smi_array_map_id t = t.smi_array_map
-let double_array_map_id t = t.double_array_map
-let tagged_array_map_id t = t.tagged_array_map
-
 let alloc_double_elements t capacity =
   let idx =
     alloc_with_map t t.fixed_double_array_map (elements_header + (2 * capacity))
@@ -504,10 +490,6 @@ let array_get t arr i =
       let v = read_double_element t elements i in
       number t v
   end
-
-let array_get_double t arr i =
-  let elements = load t arr array_elements_field in
-  read_double_element t elements i
 
 (* Transition the backing store to a new kind, converting elements. *)
 let transition_array t arr target_kind =
@@ -587,16 +569,6 @@ let rec array_set t arr i v =
     | Packed_double -> write_double_element t elements i (number_value t v)
   end
 
-let array_set_double t arr i v =
-  match array_elements_kind t arr with
-  | Packed_double ->
-    let len = array_length t arr in
-    ensure_capacity t arr (i + 1);
-    if i = len then store t arr array_length_field (Value.smi (len + 1));
-    let elements = load t arr array_elements_field in
-    write_double_element t elements i v
-  | Packed_smi | Packed_tagged -> array_set t arr i (number t v)
-
 let array_push t arr v = array_set t arr (array_length t arr) v
 
 let array_pop t arr =
@@ -659,7 +631,6 @@ let global_cell t name =
 
 let cell_value t c = load t c 1
 let set_cell_value t c v = store t c 1 v
-let global_exists t name = Hashtbl.mem t.globals name
 
 (* ---------------- Garbage collection ---------------- *)
 

@@ -66,7 +66,6 @@ val undefined : t -> int
 val null_value : t -> int
 val true_value : t -> int
 val false_value : t -> int
-val the_hole : t -> int
 val bool_value : t -> bool -> int
 val is_truthy_oddball : t -> int -> bool option
 (** [Some b] if the pointer is the true/false oddball. *)
@@ -95,7 +94,6 @@ val array_props_field : int (* = 3 *)
 val elements_header : int (* = 2 *)
 val string_length_field : int (* = 1 *)
 val string_chars_field : int (* = 3 *)
-val heap_number_payload : int (* = 1 *)
 val function_id_field : int (* = 1 *)
 val function_context_field : int (* = 2 *)
 val function_prototype_field : int (* = 3 *)
@@ -106,7 +104,6 @@ val context_slots_field : int (* = 3 *)
 
 val alloc_heap_number : t -> float -> int
 val heap_number_value : t -> int -> float
-val set_heap_number : t -> int -> float -> unit
 val number_value : t -> int -> float
 (** SMI or HeapNumber to float; raises [Invalid_argument] otherwise. *)
 
@@ -125,7 +122,6 @@ val string_char_code : t -> int -> int -> int
 
 (** {1 Objects and hidden classes} *)
 
-val empty_object_map_id : t -> int
 val new_object_map : t -> prototype:int -> int
 (** Fresh root map for a constructor's instances. *)
 
@@ -147,9 +143,6 @@ val store_slot : t -> int -> int -> int -> unit
 
 (** {1 Arrays} *)
 
-val smi_array_map_id : t -> int
-val double_array_map_id : t -> int
-val tagged_array_map_id : t -> int
 val alloc_array : t -> elements_kind -> capacity:int -> int
 val array_length : t -> int -> int
 val array_elements_kind : t -> int -> elements_kind
@@ -157,14 +150,10 @@ val array_get : t -> int -> int -> int
 (** Boxes doubles from double-kind backing stores. Out-of-range reads
     return undefined. *)
 
-val array_get_double : t -> int -> int -> float
-(** Fast path for double-kind arrays. *)
-
 val array_set : t -> int -> int -> int -> unit
 (** Handles elements-kind transitions and growth; index must be
     <= length (dense arrays only). *)
 
-val array_set_double : t -> int -> int -> float -> unit
 val array_push : t -> int -> int -> unit
 val array_pop : t -> int -> int
 
@@ -189,7 +178,6 @@ val global_cell : t -> string -> int
 
 val cell_value : t -> int -> int
 val set_cell_value : t -> int -> int -> unit
-val global_exists : t -> string -> bool
 
 (** {1 Garbage collection} *)
 

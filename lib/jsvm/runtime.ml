@@ -135,12 +135,3 @@ let pop_frame t =
   | _ :: rest -> t.active_frames <- rest
   | [] -> invalid_arg "Runtime.pop_frame: empty frame stack"
 
-let reset_feedback t =
-  Array.iter
-    (fun f ->
-      f.feedback <- Feedback.create f.info;
-      f.invocations <- 0;
-      f.code_ref <- -1;
-      f.deopt_count <- 0;
-      f.forbid_opt <- false)
-    t.funcs

@@ -61,6 +61,3 @@ val get_regex : t -> int -> Regex.compiled
 val push_frame : t -> frame -> unit
 val pop_frame : t -> unit
 
-val reset_feedback : t -> unit
-(** Clear all feedback vectors, invocation counts and compiled-code
-    references (used between experiment configurations). *)

@@ -1,6 +1,5 @@
 type t = int
 
-let smi_tag_bits = 1
 let smi_min = -(1 lsl 30)
 let smi_max = (1 lsl 30) - 1
 

@@ -10,7 +10,6 @@
 type t = int
 (** A tagged word, stored sign-extended in an OCaml int. *)
 
-val smi_tag_bits : int
 val smi_min : int
 val smi_max : int
 (** Inclusive bounds of the 31-bit SMI payload. *)

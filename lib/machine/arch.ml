@@ -24,7 +24,3 @@ let has_smi_load = function
 let check_window = function
   | X64 -> 1
   | Arm64 | Arm64_smi_ext -> 2
-
-let base_isa = function
-  | Arm64_smi_ext -> Arm64
-  | (X64 | Arm64) as a -> a

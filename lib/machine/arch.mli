@@ -32,5 +32,3 @@ val check_window : t -> int
     instructions before a deopt branch considered part of the check
     (1 on X64, 2 on ARM64). *)
 
-val base_isa : t -> t
-(** [base_isa Arm64_smi_ext = Arm64]; identity otherwise. *)

@@ -8,8 +8,6 @@ type t = {
   tags : int array;      (* sets * assoc, -1 = invalid *)
   lru : int array;       (* sets * assoc, higher = more recent *)
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let log2i n =
@@ -29,8 +27,6 @@ let create ~name ~size_words ~assoc ~line_words ~hit_latency =
     tags = Array.make (sets * assoc) (-1);
     lru = Array.make (sets * assoc) 0;
     clock = 0;
-    hits = 0;
-    misses = 0;
   }
 
 (* Ways 4.. of a deep set (L2-style assoc > 4): cold continuation of
@@ -42,7 +38,6 @@ let rec find_way t base line i =
 
 (* Miss path: evict the LRU way.  Cold relative to the hit path. *)
 let miss_fill t base line =
-  t.misses <- t.misses + 1;
   let victim = ref 0 in
   for i = 1 to t.assoc - 1 do
     if Array.unsafe_get t.lru (base + i)
@@ -54,10 +49,11 @@ let miss_fill t base line =
   false
 
 (* The hit path is loop-free (ways 0-3 unrolled, deeper sets defer to
-   [find_way]) so it inlines into the executors' issue paths even
-   under the classic (non-flambda) inliner, which refuses functions
-   containing loops.  [base + i < sets * assoc = Array.length tags] by
-   construction. *)
+   [find_way]) so the classic (non-flambda) inliner, which refuses
+   functions containing loops, inlines it into [Cpu]'s timing paths.
+   That needs this module's .cmx, which the workspace's release
+   profile provides and dev's [-opaque] hides.
+   [base + i < sets * assoc = Array.length tags] by construction. *)
 let[@inline] access t addr =
   let line = addr lsr t.line_shift in
   (* Power-of-two set counts (every shipped hierarchy) index with a
@@ -78,19 +74,12 @@ let[@inline] access t addr =
     else -1
   in
   if i >= 0 then begin
-    t.hits <- t.hits + 1;
     Array.unsafe_set t.lru (base + i) t.clock;
     true
   end
   else miss_fill t base line
 
 let hit_latency t = t.hit_latency
-let hits t = t.hits
-let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
 
 type hierarchy = { l1d : t; l1i : t; l2 : t; mem_latency : int }
 

@@ -13,9 +13,6 @@ val access : t -> int -> bool
 (** [access t addr] returns [true] on hit and updates LRU/fill state. *)
 
 val hit_latency : t -> int
-val hits : t -> int
-val misses : t -> int
-val reset_stats : t -> unit
 
 type hierarchy = {
   l1d : t;

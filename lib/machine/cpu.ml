@@ -246,9 +246,9 @@ let[@inline] fetch_line t ~addr ~line =
 
 let fetch t ~addr = fetch_line t ~addr ~line:(addr lsr 4)
 
-(* Core dispatch/start logic shared by every issue variant.  Returns the
-   start time of execution.  Inlined into the pre-decoded executor's
-   micro-ops as well as the issue variants below. *)
+(* Dispatch/start, shared by every timing path: advance the dispatch
+   pointer and charge backend stalls.  Returns the start time of
+   execution. *)
 let[@inline] dispatch t ~ready =
   let c = t.clk in
   let d = c.now in
@@ -268,7 +268,6 @@ let[@inline] dispatch t ~ready =
       c.now <- c.now +. push
     end
   end;
-  t.counters.instructions <- t.counters.instructions + 1;
   start
 
 (* In-order retirement: an instruction retires when it has completed
@@ -284,26 +283,32 @@ let[@inline] finish t complete =
   | Some s -> Perf.sampler_tick s ~now:retire ~code_id:t.cur_code ~pc:t.cur_pc);
   complete
 
-let issue t ~cls ~ready =
+(* The timing paths: the whole issue arithmetic of one instruction,
+   without the static retirement counters (instructions, loads, stores,
+   branches).  The direct interpreter counts those per instruction in
+   the [issue]* wrappers below; the pre-decoded engine charges them per
+   basic block and calls these directly. *)
+let[@inline] time_cls t ~cls ~ready =
   let start = dispatch t ~ready in
   finish t (start +. latency t.cfg cls)
 
-let issue_load t ~ready ~addr =
+let[@inline] time_alu t ~ready =
   let start = dispatch t ~ready in
-  t.counters.loads <- t.counters.loads + 1;
+  finish t (start +. t.clk.clk_lat_alu)
+
+let[@inline] time_load t ~ready ~addr =
+  let start = dispatch t ~ready in
   let lat = float_of_int (Cache.data_latency t.hier addr) in
   finish t (start +. lat)
 
-let issue_store t ~ready ~addr =
+let[@inline] time_store t ~ready ~addr =
   let start = dispatch t ~ready in
-  t.counters.stores <- t.counters.stores + 1;
   ignore (Cache.access t.hier.Cache.l1d addr);
   finish t (start +. 1.0)
 
-let issue_branch t ~pc ~ready ~taken =
+let[@inline] time_branch t ~pc ~ready ~taken =
   let start = dispatch t ~ready in
   let complete = start +. 1.0 in
-  t.counters.branches <- t.counters.branches + 1;
   if taken then t.counters.taken_branches <- t.counters.taken_branches + 1;
   let correct = Predictor.predict_and_update t.bp ~pc ~taken in
   if not correct then begin
@@ -320,6 +325,25 @@ let issue_branch t ~pc ~ready ~taken =
     t.counters.frontend_stall <- t.counters.frontend_stall +. t.clk.taken_bubble
   end;
   finish t complete
+
+let issue t ~cls ~ready =
+  t.counters.instructions <- t.counters.instructions + 1;
+  time_cls t ~cls ~ready
+
+let issue_load t ~ready ~addr =
+  t.counters.instructions <- t.counters.instructions + 1;
+  t.counters.loads <- t.counters.loads + 1;
+  time_load t ~ready ~addr
+
+let issue_store t ~ready ~addr =
+  t.counters.instructions <- t.counters.instructions + 1;
+  t.counters.stores <- t.counters.stores + 1;
+  time_store t ~ready ~addr
+
+let issue_branch t ~pc ~ready ~taken =
+  t.counters.instructions <- t.counters.instructions + 1;
+  t.counters.branches <- t.counters.branches + 1;
+  time_branch t ~pc ~ready ~taken
 
 let charge t ~cycles ~instructions ~code_id =
   let from = t.clk.now in

@@ -125,12 +125,6 @@ val watchdog_trip : clock -> what:string -> 'a
     ["watchdog:fire"] trace instant (when tracing is on) and raises
     [Support.Fault.Fault (Runaway _)].  Never returns. *)
 
-val latency : config -> insn_class -> float
-(** Static class latency used by {!issue}.  Exposed so the pre-decoded
-    executor's local (non-counting) issue paths can reproduce {!issue}'s
-    float arithmetic exactly while batching the integer retirement
-    counters per basic block. *)
-
 (** {1 Per-instruction hooks (called by the executor)} *)
 
 val fetch : t -> addr:int -> unit
@@ -144,22 +138,31 @@ val issue : t -> cls:insn_class -> ready:float -> float
 (** Dispatch + execute one instruction whose operands are ready at
     [ready]; returns its completion time.  Counts it as retired. *)
 
-val dispatch : t -> ready:float -> float
-(** The dispatch/start half of {!issue}: advance the dispatch pointer,
-    charge backend stalls, count the instruction as retired; returns the
-    execution start time.  Exposed (inlined) so the pre-decoded executor
-    can fuse it with a latency resolved at decode time. *)
-
-val finish : t -> float -> float
-(** The completion half of {!issue}: in-order retirement bookkeeping and
-    PC-sampler ticks; returns its argument. *)
-
 val issue_load : t -> ready:float -> addr:int -> float
 val issue_store : t -> ready:float -> addr:int -> float
 
 val issue_branch : t -> pc:int -> ready:float -> taken:bool -> float
 (** Returns completion; applies misprediction or taken-branch frontend
     penalties. *)
+
+(** {1 Timing paths}
+
+    [issue]* minus the static retirement counters: each [time_*] does
+    exactly the float work, cache and predictor access and sampler ticks
+    of its [issue]* counterpart, and bumps only the dynamic counters
+    (stall cycles, taken branches, mispredicts).  [issue]* is "count,
+    then time"; the pre-decoded executor charges the static counts per
+    basic block and calls these, so both engines share one timing
+    model.  They are marked for inlining, which takes effect because
+    the workspace builds without [-opaque]. *)
+
+val time_cls : t -> cls:insn_class -> ready:float -> float
+val time_alu : t -> ready:float -> float
+(** [time_cls ~cls:C_alu], with the latency read from [clk]. *)
+
+val time_load : t -> ready:float -> addr:int -> float
+val time_store : t -> ready:float -> addr:int -> float
+val time_branch : t -> pc:int -> ready:float -> taken:bool -> float
 
 val charge : t -> cycles:float -> instructions:int -> code_id:int -> unit
 (** Bulk cost of non-JIT execution (interpreter, builtins, GC): advances
@@ -168,4 +171,4 @@ val charge : t -> cycles:float -> instructions:int -> code_id:int -> unit
 
 val sample : t -> code_id:int -> pc:int -> unit
 (** Set the sampler's attribution target for the next issue (the
-    sampler ticks at issue-start time inside {!issue}). *)
+    sampler ticks at retirement, inside every timing path). *)

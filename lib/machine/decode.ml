@@ -23,10 +23,12 @@
 
    Bit-identity contract: for any program and CPU model, this engine
    must produce exactly the same outcome, memory, timing state and
-   counters as [Exec.run_direct] — it performs the same [Cpu] calls in
-   the same order with the same operands.  The determinism tests
-   assert digest equality of whole experiment results between the two
-   engines. *)
+   counters as [Exec.run_direct].  The timing model exists once, in
+   [Cpu]: each micro-op calls the [Cpu.time_*] path that the direct
+   engine's [Cpu.issue]* wraps, in the same order with the same
+   operands; only the static retirement counters are charged per block
+   instead.  The determinism tests assert digest equality of whole
+   experiment results between the two engines. *)
 
 type host = {
   memory : int array;
@@ -85,9 +87,6 @@ let reason_code = function
 type st = {
   cpu : Cpu.t;
   clk : Cpu.clock; (* = cpu.clk, cached to save an indirection *)
-  inorder : bool; (* = cpu.cfg.inorder *)
-  sampler : Perf.sampler option; (* = cpu.sampler *)
-  bp : Predictor.t; (* = cpu.bp, hoisted out of the per-branch path *)
   counters : Perf.counters;
   fstats : Perf.batching;
   regs : int array;
@@ -194,93 +193,6 @@ let[@inline] rget st r = Array.unsafe_get st.regs r
 let[@inline] rset st r (v : int) = Array.unsafe_set st.regs r v
 let[@inline] tget st r : float = Array.unsafe_get st.rr r
 let[@inline] tset st r (v : float) = Array.unsafe_set st.rr r v
-
-(* Inlined issue paths: [Cpu.dispatch]/[Cpu.finish] re-expressed over
-   the state cached in [st] (clock, counters, in-order bit, sampler)
-   and fused with the latency class resolved at decode time, so the
-   hot micro-ops pay no [Cpu.issue] call chain, no per-instruction
-   latency lookup and no re-derivation through [Cpu.t].  Same float
-   arithmetic in the same order as [Cpu.issue]* — bit-identical timing
-   (enforced by the exec-determinism suite).  Unlike [Cpu.issue]*,
-   these do NOT bump the static integer counters (instructions, loads,
-   stores, branches): those are precomputed per basic block at decode
-   time and charged once at block entry by [charge] below. *)
-let[@inline] disp st ~ready =
-  let c = st.clk in
-  let d = c.Cpu.now in
-  c.Cpu.now <- d +. c.Cpu.inv_width;
-  let start = if ready > d then ready else d in
-  if st.inorder then begin
-    if start > c.Cpu.now then begin
-      let cnt = st.counters in
-      cnt.Perf.backend_stall <- cnt.Perf.backend_stall +. (start -. c.Cpu.now);
-      c.Cpu.now <- start
-    end
-  end
-  else begin
-    let slack = c.Cpu.rob_slack in
-    if start -. d > slack then begin
-      let push = start -. d -. slack in
-      let cnt = st.counters in
-      cnt.Perf.backend_stall <- cnt.Perf.backend_stall +. push;
-      c.Cpu.now <- c.Cpu.now +. push
-    end
-  end;
-  start
-
-let[@inline] fin st complete =
-  let c = st.clk in
-  let retire = if complete > c.Cpu.high then complete else c.Cpu.high in
-  c.Cpu.high <- retire;
-  (match st.sampler with
-  | None -> ()
-  | Some s ->
-    Perf.sampler_tick s ~now:retire ~code_id:st.cpu.Cpu.cur_code
-      ~pc:st.cpu.Cpu.cur_pc);
-  complete
-
-let[@inline] issue_alu st ~ready =
-  let start = disp st ~ready in
-  fin st (start +. st.clk.Cpu.clk_lat_alu)
-
-(* The general-class issue: the latency table lookup [Cpu.issue] does,
-   minus its retirement counting. *)
-let[@inline] issue_cls st ~cls ~ready =
-  let start = disp st ~ready in
-  fin st (start +. Cpu.latency st.cpu.Cpu.cfg cls)
-
-let[@inline] issue_load st ~ready ~addr =
-  let start = disp st ~ready in
-  let lat = float_of_int (Cache.data_latency st.cpu.Cpu.hier addr) in
-  fin st (start +. lat)
-
-let[@inline] issue_store st ~ready ~addr =
-  let start = disp st ~ready in
-  ignore (Cache.access st.cpu.Cpu.hier.Cache.l1d addr);
-  fin st (start +. 1.0)
-
-let[@inline] issue_branch st ~pc ~ready ~taken =
-  let start = disp st ~ready in
-  let complete = start +. 1.0 in
-  let c = st.counters in
-  if taken then c.Perf.taken_branches <- c.Perf.taken_branches + 1;
-  let correct = Predictor.predict_and_update st.bp ~pc ~taken in
-  let clk = st.clk in
-  if not correct then begin
-    c.Perf.mispredicts <- c.Perf.mispredicts + 1;
-    let resume = complete +. clk.Cpu.mispredict_penalty in
-    if resume > clk.Cpu.now then begin
-      c.Perf.frontend_stall <-
-        c.Perf.frontend_stall +. (resume -. clk.Cpu.now);
-      clk.Cpu.now <- resume
-    end
-  end
-  else if taken then begin
-    let bubble = clk.Cpu.taken_bubble in
-    clk.Cpu.now <- clk.Cpu.now +. bubble;
-    c.Perf.frontend_stall <- c.Perf.frontend_stall +. bubble
-  end;
-  ignore (fin st complete)
 
 (* Apply a signed delta to the static integer counters: a block's
    charge at entry, or the stored-negated refund of a block's
@@ -578,14 +490,14 @@ let compile (code : Code.t) : program =
     | Insn.Mov (d, Insn.Reg r) ->
       let d = vreg d and r = vreg r in
       fun st ->
-        let t = issue_alu st ~ready:(tget st r) in
+        let t = Cpu.time_alu st.cpu ~ready:(tget st r) in
         rset st d (rget st r);
         tset st d t;
         next
     | Insn.Mov (d, Insn.Imm v) ->
       let d = vreg d in
       fun st ->
-        let t = issue_alu st ~ready:0.0 in
+        let t = Cpu.time_alu st.cpu ~ready:0.0 in
         rset st d v;
         tset st d t;
         next
@@ -598,7 +510,7 @@ let compile (code : Code.t) : program =
         let b = vreg a.Insn.base and off = a.Insn.offset in
         fun st ->
           let ea = rget st b + off in
-          let t = issue_load st ~ready:(tget st b) ~addr:ea in
+          let t = Cpu.time_load st.cpu ~ready:(tget st b) ~addr:ea in
           rset st d (Array.unsafe_get st.mem (mem_index st name ea));
           tset st d t;
           next
@@ -606,7 +518,7 @@ let compile (code : Code.t) : program =
         let ea = eff a and rdy = aready a in
         fun st ->
           let ea = ea st in
-          let t = issue_load st ~ready:(rdy st) ~addr:ea in
+          let t = Cpu.time_load st.cpu ~ready:(rdy st) ~addr:ea in
           rset st d (Array.unsafe_get st.mem (mem_index st name ea));
           tset st d t;
           next)
@@ -618,7 +530,7 @@ let compile (code : Code.t) : program =
         fun st ->
           let ea = rget st b + off in
           let ready = fmax (tget st b) (tget st s) in
-          ignore (issue_store st ~ready ~addr:ea);
+          ignore (Cpu.time_store st.cpu ~ready ~addr:ea);
           Array.unsafe_set st.mem (mem_index st name ea) (rget st s);
           next
       | Some _ ->
@@ -626,7 +538,7 @@ let compile (code : Code.t) : program =
         fun st ->
           let ea = ea st in
           let ready = fmax (rdy st) (tget st s) in
-          ignore (issue_store st ~ready ~addr:ea);
+          ignore (Cpu.time_store st.cpu ~ready ~addr:ea);
           Array.unsafe_set st.mem (mem_index st name ea) (rget st s);
           next)
     | Insn.Ldr_f (d, a) ->
@@ -634,7 +546,7 @@ let compile (code : Code.t) : program =
       let ea = eff a and rdy = aready a in
       fun st ->
         let ea = ea st in
-        let t = issue_load st ~ready:(rdy st) ~addr:ea in
+        let t = Cpu.time_load st.cpu ~ready:(rdy st) ~addr:ea in
         let i0 = mem_index st name ea in
         let i1 = mem_index2 st name ea i0 in
         let lo = Int64.of_int (st.mem.(i0) land 0xFFFFFFFF) in
@@ -649,7 +561,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let ea = ea st in
         let ready = fmax (rdy st) st.fr.(s) in
-        ignore (issue_store st ~ready ~addr:ea);
+        ignore (Cpu.time_store st.cpu ~ready ~addr:ea);
         let bits = Int64.bits_of_float st.fregs.(s) in
         let i0 = mem_index st name ea in
         let i1 = mem_index2 st name ea i0 in
@@ -663,15 +575,15 @@ let compile (code : Code.t) : program =
         | Insn.Sdiv | Insn.Smod -> Cpu.C_div
         | _ -> Cpu.C_alu
       in
-      (* Flag-free single-cycle forms take the inlined ALU issue path;
-         everything else shares a generic body.  Both capture the
-         operator at decode time. *)
+      (* Flag-free single-cycle forms take [Cpu.time_alu], which needs
+         no latency lookup; everything else shares a generic body.  Both
+         capture the operator at decode time. *)
       let dst = vreg dst and src = vreg src in
       match (rhs, set_flags) with
       | Insn.Imm v, false when cls = Cpu.C_alu ->
         fun st ->
           let a = rget st src in
-          let t = issue_alu st ~ready:(tget st src) in
+          let t = Cpu.time_alu st.cpu ~ready:(tget st src) in
           rset st dst (sext32 (alu_raw op a v));
           tset st dst t;
           next
@@ -679,14 +591,14 @@ let compile (code : Code.t) : program =
         let r = vreg r in
         fun st ->
           let a = rget st src and b = rget st r in
-          let t = issue_alu st ~ready:(fmax (tget st src) (tget st r)) in
+          let t = Cpu.time_alu st.cpu ~ready:(fmax (tget st src) (tget st r)) in
           rset st dst (sext32 (alu_raw op a b));
           tset st dst t;
           next
       | Insn.Imm v, _ ->
         fun st ->
           let a = st.regs.(src) in
-          let t = issue_cls st ~cls ~ready:st.rr.(src) in
+          let t = Cpu.time_cls st.cpu ~cls ~ready:st.rr.(src) in
           let raw = alu_raw op a v in
           if set_flags then set_alu_flags st op a v raw;
           st.regs.(dst) <- sext32 raw;
@@ -696,7 +608,8 @@ let compile (code : Code.t) : program =
       | Insn.Reg r, _ ->
         fun st ->
           let a = st.regs.(src) and b = st.regs.(r) in
-          let t = issue_cls st ~cls ~ready:(fmax st.rr.(src) st.rr.(r)) in
+          let ready = fmax st.rr.(src) st.rr.(r) in
+          let t = Cpu.time_cls st.cpu ~cls ~ready in
           let raw = alu_raw op a b in
           if set_flags then set_alu_flags st op a b raw;
           st.regs.(dst) <- sext32 raw;
@@ -708,7 +621,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let ea = ea st in
         let ready = fmax st.rr.(src) (rdy st) in
-        let t = issue_load st ~ready ~addr:ea in
+        let t = Cpu.time_load st.cpu ~ready ~addr:ea in
         let b = st.mem.(mem_index st name ea) in
         let av = st.regs.(src) in
         let raw =
@@ -731,7 +644,7 @@ let compile (code : Code.t) : program =
       let a = vreg a in
       fun st ->
         let av = rget st a in
-        let t = issue_alu st ~ready:(tget st a) in
+        let t = Cpu.time_alu st.cpu ~ready:(tget st a) in
         set_add_sub_flags st av v (av - v) true;
         st.clk.Cpu.flags_ready <- t;
         next
@@ -739,7 +652,7 @@ let compile (code : Code.t) : program =
       let a = vreg a and r = vreg r in
       fun st ->
         let av = rget st a and bv = rget st r in
-        let t = issue_alu st ~ready:(fmax (tget st a) (tget st r)) in
+        let t = Cpu.time_alu st.cpu ~ready:(fmax (tget st a) (tget st r)) in
         set_add_sub_flags st av bv (av - bv) true;
         st.clk.Cpu.flags_ready <- t;
         next
@@ -748,7 +661,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let eav = ea st in
         let ready = fmax st.rr.(a) (rdy st) in
-        let t = issue_load st ~ready ~addr:eav in
+        let t = Cpu.time_load st.cpu ~ready ~addr:eav in
         let bv = st.mem.(mem_index st name eav) in
         let av = st.regs.(a) in
         set_add_sub_flags st av bv (av - bv) true;
@@ -758,7 +671,7 @@ let compile (code : Code.t) : program =
       let a = vreg a in
       fun st ->
         let av = rget st a in
-        let t = issue_alu st ~ready:(tget st a) in
+        let t = Cpu.time_alu st.cpu ~ready:(tget st a) in
         set_logic_flags st (av land v);
         st.clk.Cpu.flags_ready <- t;
         next
@@ -766,19 +679,19 @@ let compile (code : Code.t) : program =
       let a = vreg a and r = vreg r in
       fun st ->
         let av = rget st a and bv = rget st r in
-        let t = issue_alu st ~ready:(fmax (tget st a) (tget st r)) in
+        let t = Cpu.time_alu st.cpu ~ready:(fmax (tget st a) (tget st r)) in
         set_logic_flags st (av land bv);
         st.clk.Cpu.flags_ready <- t;
         next
     | Insn.Fmov (d, s) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_falu ~ready:st.fr.(s) in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_falu ~ready:st.fr.(s) in
         st.fregs.(d) <- st.fregs.(s);
         st.fr.(d) <- t;
         next
     | Insn.Fmov_imm (d, v) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_falu ~ready:0.0 in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_falu ~ready:0.0 in
         st.fregs.(d) <- v;
         st.fr.(d) <- t;
         next
@@ -790,7 +703,7 @@ let compile (code : Code.t) : program =
         | Insn.Fdiv -> Cpu.C_fdiv
       in
       fun st ->
-        let t = issue_cls st ~cls ~ready:(fmax st.fr.(a) st.fr.(b)) in
+        let t = Cpu.time_cls st.cpu ~cls ~ready:(fmax st.fr.(a) st.fr.(b)) in
         let av = st.fregs.(a) and bv = st.fregs.(b) in
         st.fregs.(dst) <-
           (match op with
@@ -803,7 +716,7 @@ let compile (code : Code.t) : program =
     | Insn.Fcmp (a, b) ->
       fun st ->
         let t =
-          issue_cls st ~cls:Cpu.C_falu ~ready:(fmax st.fr.(a) st.fr.(b))
+          Cpu.time_cls st.cpu ~cls:Cpu.C_falu ~ready:(fmax st.fr.(a) st.fr.(b))
         in
         let av = st.fregs.(a) and bv = st.fregs.(b) in
         if Float.is_nan av || Float.is_nan bv then begin
@@ -823,13 +736,13 @@ let compile (code : Code.t) : program =
         next
     | Insn.Scvtf (d, s) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_fcvt ~ready:st.rr.(s) in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_fcvt ~ready:st.rr.(s) in
         st.fregs.(d) <- float_of_int st.regs.(s);
         st.fr.(d) <- t;
         next
     | Insn.Fcvtzs (d, s) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_fcvt ~ready:st.fr.(s) in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_fcvt ~ready:st.fr.(s) in
         let v = st.fregs.(s) in
         st.regs.(d) <- (if Float.is_nan v then 0 else sext32 (int_of_float v));
         st.rr.(d) <- t;
@@ -837,7 +750,7 @@ let compile (code : Code.t) : program =
     | Insn.B l ->
       let tgt = utarget l in
       fun st ->
-        ignore (issue_branch st ~pc:bpc ~ready:0.0 ~taken:true);
+        ignore (Cpu.time_branch st.cpu ~pc:bpc ~ready:0.0 ~taken:true);
         tgt
     | Insn.Bcond (c, l) ->
       let tgt = utarget l in
@@ -845,7 +758,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let taken = cond st in
         ignore
-          (issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
+          (Cpu.time_branch st.cpu ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
         if taken then tgt else next
     | Insn.Deopt_if (c, dp) ->
       let point = deopts.(dp) in
@@ -854,7 +767,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let taken = cond st in
         ignore
-          (issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
+          (Cpu.time_branch st.cpu ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
         if taken then begin
           st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
           add st rf;
@@ -878,7 +791,7 @@ let compile (code : Code.t) : program =
       let rcode = reason_code reason in
       fun st ->
         let ea = ea st in
-        let t = issue_load st ~ready:(rdy st) ~addr:ea in
+        let t = Cpu.time_load st.cpu ~ready:(rdy st) ~addr:ea in
         let t = t +. st.cpu.Cpu.cfg.Cpu.smi_load_extra in
         let w = st.mem.(mem_index st name ea) in
         if w land 1 <> 0 then begin
@@ -914,7 +827,7 @@ let compile (code : Code.t) : program =
       let rcode = reason_code reason in
       fun st ->
         let ea = ea st in
-        ignore (issue_load st ~ready:(rdy st) ~addr:ea);
+        ignore (Cpu.time_load st.cpu ~ready:(rdy st) ~addr:ea);
         let w = st.mem.(mem_index st name ea) in
         if w <> expected then begin
           st.regs.(reg_pc) <- bpc;
@@ -949,7 +862,7 @@ let compile (code : Code.t) : program =
         for i = 0 to argc - 1 do
           if tget st i > !ready then ready := tget st i
         done;
-        let t = issue_cls st ~cls:Cpu.C_call ~ready:!ready in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_call ~ready:!ready in
         (* Synchronize dispatch with the call. *)
         if t > st.clk.Cpu.now then st.clk.Cpu.now <- t;
         let args_view = scratch_buf st argc in
@@ -972,28 +885,28 @@ let compile (code : Code.t) : program =
         next
     | Insn.Ret ->
       fun st ->
-        ignore (issue_branch st ~pc:bpc ~ready:st.rr.(0) ~taken:true);
+        ignore (Cpu.time_branch st.cpu ~pc:bpc ~ready:st.rr.(0) ~taken:true);
         st.outcome <- Done st.regs.(0);
         -1
     | Insn.Spill (slot, s) ->
       fun st ->
-        ignore (issue_cls st ~cls:Cpu.C_store ~ready:st.rr.(s));
+        ignore (Cpu.time_cls st.cpu ~cls:Cpu.C_store ~ready:st.rr.(s));
         st.slots.(slot) <- st.regs.(s);
         next
     | Insn.Reload (d, slot) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_load ~ready:0.0 in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_load ~ready:0.0 in
         st.regs.(d) <- st.slots.(slot);
         st.rr.(d) <- t +. 2.0 (* L1-hit reload *);
         next
     | Insn.Spill_f (slot, s) ->
       fun st ->
-        ignore (issue_cls st ~cls:Cpu.C_store ~ready:st.fr.(s));
+        ignore (Cpu.time_cls st.cpu ~cls:Cpu.C_store ~ready:st.fr.(s));
         st.fslots.(slot) <- st.fregs.(s);
         next
     | Insn.Reload_f (d, slot) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_load ~ready:0.0 in
+        let t = Cpu.time_cls st.cpu ~cls:Cpu.C_load ~ready:0.0 in
         st.fregs.(d) <- st.fslots.(slot);
         st.fr.(d) <- t +. 2.0;
         next
@@ -1006,7 +919,7 @@ let compile (code : Code.t) : program =
       in
       let s = vreg s in
       fun st ->
-        let t = issue_alu st ~ready:(tget st s) in
+        let t = Cpu.time_alu st.cpu ~ready:(tget st s) in
         rset st idx (rget st s);
         tset st idx t;
         next
@@ -1019,7 +932,7 @@ let compile (code : Code.t) : program =
       in
       let d = vreg d in
       fun st ->
-        let t = issue_alu st ~ready:(tget st idx) in
+        let t = Cpu.time_alu st.cpu ~ready:(tget st idx) in
         rset st d (rget st idx);
         tset st d t;
         next
@@ -1096,9 +1009,6 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
     {
       cpu;
       clk = cpu.Cpu.clk;
-      inorder = cpu.Cpu.cfg.Cpu.inorder;
-      sampler = cpu.Cpu.sampler;
-      bp = cpu.Cpu.bp;
       counters = cpu.Cpu.counters;
       fstats = cpu.Cpu.fstats;
       regs;
@@ -1167,8 +1077,8 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
        done
      | None ->
        (* Without a PC sampler the attribution PC is never read
-          ([Cpu.finish] only consults it to tick the sampler), so the
-          per-slot [cur_pc] update is dead and skipped. *)
+          ([Cpu]'s timing paths only consult it to tick the sampler),
+          so the per-slot [cur_pc] update is dead and skipped. *)
        while !i >= 0 do
          let k = !i in
          let b = Array.unsafe_get blocks k in

@@ -6,19 +6,22 @@
     class, fetch address and instruction-cache line, check provenance
     (group index and deopt-branch flag), deopt-point metadata, and
     branch targets remapped onto the pseudo-free micro-op array, one
-    dispatch slot per instruction.  The dispatch loop in {!run} then retires one instruction per indirect
-    call — an accumulator-threaded loop in which each micro-op returns
-    the index of its successor — instead of re-matching on
-    [Insn.kind] every iteration as [Exec.run_direct] does.
+    dispatch slot per instruction.  The dispatch loop in {!run} then
+    retires one instruction per indirect call — an accumulator-threaded
+    loop in which each micro-op returns the index of its successor —
+    instead of re-matching on [Insn.kind] every iteration as
+    [Exec.run_direct] does.
 
     {b Bit-identity contract.}  For any code object, CPU model and
     host, [run] produces exactly the same {!outcome}, memory contents,
     timing state and {!Perf.counters} as the direct interpreter: both
-    engines perform the same [Cpu] calls in the same order with the
-    same arguments, so cycle counts, sampler attributions, cache and
-    predictor state are reproduced bit for bit.  The determinism test
-    suite asserts digest equality of whole experiment results between
-    the two engines.
+    engines run [Cpu]'s one timing model (the [Cpu.time_*] paths, which
+    the direct engine reaches through the [Cpu.issue] wrappers) in the
+    same order with the same arguments, so cycle counts, sampler attributions, cache
+    and predictor state are reproduced bit for bit.  Only the static
+    retirement counters are charged per basic block instead of per
+    instruction.  The determinism test suite asserts digest equality of
+    whole experiment results between the two engines.
 
     Compiled programs are cached on the code object itself
     ({!Code.decode_cache}).  Recompilation builds a fresh [Code.t], so

@@ -189,28 +189,6 @@ let writes = function
   | Js_chk_map _ ->
     []
 
-let freads = function
-  | Str_f (_, f) | Fmov (_, f) | Fcvtzs (_, f) -> [ f ]
-  | Falu { a; b; _ } -> [ a; b ]
-  | Fcmp (a, b) -> [ a; b ]
-  | Spill_f (_, f) -> [ f ]
-  | Mov _ | Ldr _ | Str _ | Ldr_f _ | Alu _ | Alu_mem _ | Cmp _ | Cmp_mem _
-  | Tst _ | Fmov_imm _ | Scvtf _ | B _ | Bcond _ | Deopt_if _ | Checkpoint _
-  | Call _ | Ret | Spill _ | Reload _ | Reload_f _ | Js_ldr_smi _
-  | Js_chk_map _ | Msr _ | Mrs _ | Label _ | Nop ->
-    []
-
-let fwrites = function
-  | Ldr_f (f, _) | Fmov (f, _) | Fmov_imm (f, _) | Scvtf (f, _) | Reload_f (f, _)
-    ->
-    [ f ]
-  | Falu { dst; _ } -> [ dst ]
-  | Mov _ | Ldr _ | Str _ | Str_f _ | Alu _ | Alu_mem _ | Cmp _ | Cmp_mem _
-  | Tst _ | Fcmp _ | Fcvtzs _ | B _ | Bcond _ | Deopt_if _ | Checkpoint _
-  | Call _ | Ret | Spill _ | Reload _ | Spill_f _ | Js_ldr_smi _
-  | Js_chk_map _ | Msr _ | Mrs _ | Label _ | Nop ->
-    []
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)

@@ -150,8 +150,6 @@ val is_pseudo : kind -> bool
 
 val reads : kind -> reg list
 val writes : kind -> reg list
-val freads : kind -> freg list
-val fwrites : kind -> freg list
 
 val to_string : Arch.t -> t -> string
 (** Arch-flavored assembly syntax, e.g. [tst w3, #0x1] on ARM64 vs

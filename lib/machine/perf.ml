@@ -115,11 +115,6 @@ let create_sampler ~period ~seed =
     total = 0;
   }
 
-let sampler_reset s =
-  s.next <- s.period;
-  Hashtbl.reset s.samples;
-  s.total <- 0
-
 let bucket s code_id size =
   match Hashtbl.find_opt s.samples code_id with
   | Some a when Array.length a >= size -> a

@@ -65,7 +65,6 @@ val reset_batching : batching -> unit
 type sampler
 
 val create_sampler : period:float -> seed:int -> sampler
-val sampler_reset : sampler -> unit
 
 val sampler_tick : sampler -> now:float -> code_id:int -> pc:int -> unit
 (** Record a sample for every sampling point passed since the previous

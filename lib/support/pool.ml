@@ -36,16 +36,13 @@ let map_array ?jobs f xs =
 
 let map ?jobs f xs = Array.to_list (map_array ?jobs f (Array.of_list xs))
 let run ?jobs thunks = map ?jobs (fun f -> f ()) thunks
-let iter ?jobs f xs = ignore (map ?jobs f xs)
-
 (* Fault-contained variant: every job runs to an [Ok]/[Error] verdict,
    a failing job never halts the others, and transient fault classes
    are retried inside the job's slot, so one flaky cell cannot poison
-   a whole figure sweep. *)
-let map_array_result ?jobs ?retries f xs =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let n = Array.length xs in
-  let job i x =
+   a whole figure sweep.  The job never raises, so [map_array]'s
+   stop-on-failure path is never taken. *)
+let map_result ?jobs ?retries f xs =
+  let job (i, x) =
     match
       Fault.guard ?retries
         ~inject:(Fault.Inject.Worker, string_of_int i)
@@ -54,25 +51,7 @@ let map_array_result ?jobs ?retries f xs =
     | Ok v -> Ok v
     | Error (e, _attempts) -> Error e
   in
-  if jobs = 1 || n <= 1 then Array.mapi job xs
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false else results.(i) <- Some (job i xs.(i))
-      done
-    in
-    let spawned = Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned;
-    Array.map (function Some r -> r | None -> assert false) results
-  end
-
-let map_result ?jobs ?retries f xs =
-  Array.to_list (map_array_result ?jobs ?retries f (Array.of_list xs))
+  map ?jobs job (List.mapi (fun i x -> (i, x)) xs)
 
 module Memo = struct
   type 'v entry = Published of 'v | In_flight

@@ -30,23 +30,15 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** Run thunks in parallel, results in submission order. *)
 
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-
-val map_array_result :
-  ?jobs:int -> ?retries:int -> ('a -> 'b) -> 'a array ->
-  ('b, Fault.error) result array
-(** Fault-contained {!map_array}: each job yields [Ok v] or
-    [Error e] in place, and a failing job never aborts the rest of the
-    batch.  Exceptions are classified through {!Fault.of_exn};
-    transient classes are retried inside the job slot ([retries]
-    defaults to {!Fault.max_retries}).
-    The [worker] injection site fires per job index, before each
-    attempt.  Never raises. *)
-
 val map_result :
   ?jobs:int -> ?retries:int -> ('a -> 'b) -> 'a list ->
   ('b, Fault.error) result list
-(** List version of {!map_array_result}. *)
+(** Fault-contained {!map}: each job yields [Ok v] or [Error e] in
+    place, and a failing job never aborts the rest of the batch.
+    Exceptions are classified through {!Fault.of_exn}; transient
+    classes are retried inside the job slot ([retries] defaults to
+    {!Fault.max_retries}).  The [worker] injection site fires per job
+    index, before each attempt.  Never raises. *)
 
 (** Thread-safe single-flight memo table.
 

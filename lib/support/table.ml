@@ -69,8 +69,6 @@ let print t = print_string (render t)
 
 let fmt_pct v = Printf.sprintf "%.1f%%" (v *. 100.0)
 
-let fmt_f ?(digits = 2) v = Printf.sprintf "%.*f" digits v
-
 let fmt_speedup v = Printf.sprintf "%.3fx" v
 
 let bar ?(width = 24) ~max v =

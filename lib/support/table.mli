@@ -27,7 +27,6 @@ val print : t -> unit
 val fmt_pct : float -> string
 (** [fmt_pct 0.083] is ["8.3%"] — input is a fraction. *)
 
-val fmt_f : ?digits:int -> float -> string
 val fmt_speedup : float -> string
 (** [fmt_speedup 1.083] is ["1.083x"]. *)
 

@@ -136,11 +136,6 @@ let counter_at ~cat ~ts name value =
 let counter ~cat name value =
   if !on then counter_at ~cat ~ts:(sim_now ()) name value
 
-let counter_wall ~cat name value =
-  if !on then
-    emit ~kind:Counter ~dom:Wall ~cat ~name ~arg:"" ~ts:(wall_now ()) ~dur:0.0
-      ~value
-
 let complete_at ?(arg = "") ~cat ~ts ~dur name =
   emit ~kind:Span ~dom:Sim ~cat ~name ~arg ~ts ~dur ~value:0.0
 

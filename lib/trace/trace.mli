@@ -113,7 +113,6 @@ val instant_wall : ?arg:string -> cat:string -> string -> unit
 
 val counter : cat:string -> string -> float -> unit
 val counter_at : cat:string -> ts:float -> string -> float -> unit
-val counter_wall : cat:string -> string -> float -> unit
 
 val complete_at : ?arg:string -> cat:string -> ts:float -> dur:float -> string -> unit
 (** A finished sim-domain span (begin [ts], length [dur] cycles). *)

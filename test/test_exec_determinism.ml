@@ -2,7 +2,7 @@
    direct interpreter: whole harness results (checksums, cycle counts,
    every counter, PC-sample attributions) must digest equal for the
    fig7-style cell axes — both ISAs, the SMI extension, check removal,
-   and a benchmark that actually deoptimizes. *)
+   a benchmark that actually deoptimizes — and for fig13's four cores. *)
 
 (* The on-disk cache must not serve one engine's results to the other. *)
 let () = Unix.putenv "VSPEC_CACHE_DIR" "off"
@@ -32,21 +32,22 @@ function bench() {
 |};
   }
 
-let run_with engine ~arch ~seed variant b =
+let run_with ?cpu engine ~arch ~seed variant b =
   Exec.set_engine (Some engine);
   Fun.protect
     ~finally:(fun () -> Exec.set_engine None)
     (fun () ->
-      let config = Experiments.Common.config_for ~arch ~seed variant in
+      let config = Experiments.Common.config_for ?cpu ~arch ~seed variant in
       Experiments.Harness.run ~iterations:iters ~config b)
 
-let check_cell ?(expect_deopts = false) ~arch ~seed variant b =
+let check_cell ?cpu ?(expect_deopts = false) ~arch ~seed variant b =
   let label =
-    Printf.sprintf "%s@%s/%s" b.Workloads.Suite.id (Arch.name arch)
+    Printf.sprintf "%s@%s/%s%s" b.Workloads.Suite.id (Arch.name arch)
       (Experiments.Common.variant_name variant)
+      (match cpu with Some c -> "/" ^ c.Cpu.cfg_name | None -> "")
   in
-  let direct = run_with Exec.Direct ~arch ~seed variant b in
-  let decoded = run_with Exec.Decoded ~arch ~seed variant b in
+  let direct = run_with ?cpu Exec.Direct ~arch ~seed variant b in
+  let decoded = run_with ?cpu Exec.Decoded ~arch ~seed variant b in
   Alcotest.(check string)
     (label ^ ": direct and decoded results digest-equal")
     (digest direct) (digest decoded);
@@ -92,6 +93,20 @@ let test_smi_ext_cell () =
   check_cell ~expect_deopts:true ~arch:Arch.Arm64 ~seed:1
     Experiments.Common.V_smi_ext deopting_bench
 
+let test_gem5_cpus () =
+  (* The fast configurations above are all out-of-order with the
+     default caches; fig13's cores add the in-order stall path and the
+     small-cache hierarchy (InOrder-A55). *)
+  List.iter
+    (fun cpu ->
+      let dp = bench "DP" in
+      check_cell ~cpu ~arch:Arch.Arm64 ~seed:100 Experiments.Common.V_normal dp;
+      check_cell ~cpu ~arch:Arch.Arm64 ~seed:100 Experiments.Common.V_smi_ext
+        dp;
+      check_cell ~cpu ~expect_deopts:true ~arch:Arch.Arm64 ~seed:100
+        Experiments.Common.V_normal deopting_bench)
+    Cpu.gem5_cpus
+
 let test_injection_transparent () =
   (* Transient fault injection at a fixed seed, absorbed by retries,
      must leave results bit-identical to a clean run: the injector
@@ -125,6 +140,7 @@ let suite =
         Alcotest.test_case "deopting benchmark" `Quick test_deopting_cells;
         Alcotest.test_case "check-removal variant" `Quick test_removal_cells;
         Alcotest.test_case "smi-ext variant" `Quick test_smi_ext_cell;
+        Alcotest.test_case "gem5 cpus" `Quick test_gem5_cpus;
         Alcotest.test_case "fault injection is transparent" `Quick
           test_injection_transparent;
       ] );

@@ -46,7 +46,7 @@ let config_for ?cpu ~arch ~seed variant =
     { base with Engine.arch = Arch.Arm64_smi_ext; fuse_map_checks = true }
 
 let iterations = Support.Knob.int "VSPEC_ITERS" ~min:1 ~default:200
-let repetitions = Support.Knob.int "VSPEC_REPS" ~min:1 ~default:5
+let repetitions = Support.Knob.int "VSPEC_REPS" ~min:2 ~default:5
 
 (* ------------------------------------------------------------------ *)
 (* Persistent on-disk result cache                                     *)
@@ -58,7 +58,7 @@ let repetitions = Support.Knob.int "VSPEC_REPS" ~min:1 ~default:5
    machine model, harness measurement) so stale entries can never leak
    into new runs; changing VSPEC_ITERS / seeds / variants changes the
    key by construction. *)
-let cache_version = "vspec-cache-v1"
+let cache_version = "vspec-cache-v2"
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
@@ -435,3 +435,19 @@ let suite =
       | unknown ->
         Error ("benchmark ids, comma-separated; unknown: "
                ^ String.concat ", " unknown))
+
+let rows_by_arch archs row =
+  let pairs =
+    List.concat_map (fun arch -> List.map (fun b -> (arch, b)) (suite ())) archs
+  in
+  let rows =
+    List.combine pairs
+      (Support.Pool.map_result (fun (arch, b) -> row ~arch b) pairs)
+  in
+  List.map
+    (fun arch ->
+      ( arch,
+        List.filter_map
+          (fun ((a, b), r) -> if a = arch then Some (b, r) else None)
+          rows ))
+    archs

@@ -3,9 +3,9 @@
     benchmark), and the check-removal calibration cache.
 
     All memo tables are domain-safe with single-flight semantics: when
-    the {!Plan} layer fans cells out across a {!Support.Pool}, each
-    distinct simulation runs exactly once no matter how many domains
-    ask for it.  Results are additionally persisted to an on-disk cache
+    a figure fans its rows out across a {!Support.Pool}, each distinct
+    simulation runs exactly once no matter how many domains ask for
+    it.  Results are additionally persisted to an on-disk cache
     ([_build/.vspec-cache/] or [VSPEC_CACHE_DIR]; set to [off] to
     disable) keyed by a digest of benchmark source + full engine config
     + iteration count + a cache-format version, so re-runs skip
@@ -39,7 +39,8 @@ val iterations : unit -> int
 (** Default 200; override with VSPEC_ITERS (an integer >= 1). *)
 
 val repetitions : unit -> int
-(** Default 5 (paper: 30); override with VSPEC_REPS (an integer >= 1). *)
+(** Default 5 (paper: 30); override with VSPEC_REPS (an integer >= 2:
+    the statistical figures' Welch t-test needs two samples). *)
 
 val run_result :
   ?cpu:Cpu.config -> ?iterations:int -> arch:Arch.t -> seed:int ->
@@ -93,6 +94,19 @@ val suite : unit -> Workloads.Suite.benchmark list
 (** The benchmark list, restricted by VSPEC_BENCH (comma-separated ids,
     surrounding whitespace ignored) if set.  Raises [Support.Knob.Invalid]
     naming any unknown id. *)
+
+val rows_by_arch :
+  Arch.t list ->
+  (arch:Arch.t -> Workloads.Suite.benchmark -> 'a) ->
+  (Arch.t
+  * (Workloads.Suite.benchmark * ('a, Support.Fault.error) result) list)
+  list
+(** [rows_by_arch archs row] computes one row per (arch, benchmark)
+    pair in one {!Support.Pool.map_result} fan-out and regroups the
+    results per arch, benchmarks in suite order.  [row] must be pure:
+    it reads cells only through the memoized runners above, so the
+    results do not depend on the schedule.  A row whose cell failed
+    permanently is [Error]. *)
 
 val cache_stats : unit -> int * int
 (** [(simulations, disk_hits)] since start/last {!clear_memo}: fresh

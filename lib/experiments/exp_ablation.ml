@@ -4,14 +4,14 @@ let target (b : Workloads.Suite.benchmark) =
 
 let elements () =
   let arch = Arch.Arm64 in
-  Plan.run
-    (List.concat_map
-       (fun b ->
-         if target b then
-           [ Plan.cell ~arch ~seed:1 Common.V_normal b;
-             Plan.cell ~arch ~seed:1 Common.V_trust_elements b ]
-         else [])
-       (Common.suite ()));
+  let benches = List.filter target (Common.suite ()) in
+  let rows =
+    Support.Pool.map_result
+      (fun b ->
+        ( Common.run_cached ~arch ~seed:1 Common.V_normal b,
+          Common.run_cached ~arch ~seed:1 Common.V_trust_elements b ))
+      benches
+  in
   Support.Table.section
     "Ablation: re-checking SMI element loads vs trusting the elements kind";
   let t =
@@ -22,17 +22,13 @@ let elements () =
         [ "benchmark"; "checks/100 (recheck)"; "checks/100 (trust)";
           "cycles ratio trust/recheck"; "Not-a-SMI freq delta" ]
   in
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      if target b then begin
-        match
-          ( Common.run_cached ~arch ~seed:1 Common.V_normal b,
-            Common.run_cached ~arch ~seed:1 Common.V_trust_elements b )
-        with
-        | exception Support.Fault.Fault err ->
-          Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
-            ~reason:(Support.Fault.class_name err)
-        | r1, r2 ->
+  List.iter2
+    (fun (b : Workloads.Suite.benchmark) row ->
+      match row with
+      | Error err ->
+        Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
+          ~reason:(Support.Fault.class_name err)
+      | Ok (r1, r2) ->
         if r1.Harness.error = None && r2.Harness.error = None then
           Support.Table.add_row t
             [ b.Workloads.Suite.id;
@@ -42,9 +38,8 @@ let elements () =
                 (Harness.steady_state_cycles r2 /. Harness.steady_state_cycles r1);
               Printf.sprintf "%+.1f"
                 (Harness.group_freq_per_100 r2 Insn.G_not_smi
-                -. Harness.group_freq_per_100 r1 Insn.G_not_smi) ]
-      end)
-    (Common.suite ());
+                -. Harness.group_freq_per_100 r1 Insn.G_not_smi) ])
+    benches rows;
   Support.Table.print t;
   print_endline
     "(The default re-check reproduces the paper's Fig 3/11 code shape --\n\

@@ -1,17 +1,25 @@
 let archs = [ Arch.X64; Arch.Arm64 ]
 
-(* Fan the figure's full cell set out across the domain pool before the
-   (sequential, deterministic) table-building body reads the caches. *)
-let normal_cells () =
-  List.concat_map
-    (fun arch ->
-      List.map
-        (fun b -> Plan.cell ~arch ~seed:1 Common.V_normal b)
-        (Common.suite ()))
-    archs
-
 let fig1 () =
-  Plan.run (normal_cells ());
+  let suite = Common.suite () in
+  (* One row per benchmark: (dynamic, static) checks/100 per arch. *)
+  let rows =
+    Support.Pool.map_result
+      (fun b ->
+        List.map
+          (fun arch ->
+            let r = Common.run_cached ~arch ~seed:1 Common.V_normal b in
+            let stat =
+              if r.Harness.static_insns = 0 then 0.0
+              else
+                100.0
+                *. float_of_int r.Harness.static_checks
+                /. float_of_int r.Harness.static_insns
+            in
+            (Harness.checks_per_100 r, stat))
+          archs)
+      suite
+  in
   Support.Table.section
     "Fig 1: deoptimization checks per 100 instructions (dynamic and static)";
   let t =
@@ -20,44 +28,30 @@ let fig1 () =
         [ "benchmark"; "category"; "x64 dyn"; "x64 static"; "arm64 dyn";
           "arm64 static"; "" ]
   in
-  let dyn_all = Hashtbl.create 4 in
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      match
-        List.concat_map
-          (fun arch ->
-            let r = Common.run_cached ~arch ~seed:1 Common.V_normal b in
-            let dyn = Harness.checks_per_100 r in
-            let stat =
-              if r.Harness.static_insns = 0 then 0.0
-              else
-                100.0
-                *. float_of_int r.Harness.static_checks
-                /. float_of_int r.Harness.static_insns
-            in
-            Hashtbl.replace dyn_all (arch, b.Workloads.Suite.id) dyn;
-            [ Printf.sprintf "%.1f" dyn; Printf.sprintf "%.1f" stat ])
-          archs
-      with
-      | exception Support.Fault.Fault err ->
+  List.iter2
+    (fun (b : Workloads.Suite.benchmark) row ->
+      match row with
+      | Error err ->
         Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
           ~reason:(Support.Fault.class_name err)
-      | cells ->
-        let x64_dyn = Hashtbl.find dyn_all (Arch.X64, b.Workloads.Suite.id) in
+      | Ok per_arch ->
         Support.Table.add_row t
           ([ b.Workloads.Suite.id;
              Workloads.Suite.category_name b.Workloads.Suite.category ]
-          @ cells
-          @ [ Support.Table.bar ~width:16 ~max:25.0 x64_dyn ]))
-    (Common.suite ());
+          @ List.concat_map
+              (fun (dyn, stat) ->
+                [ Printf.sprintf "%.1f" dyn; Printf.sprintf "%.1f" stat ])
+              per_arch
+          (* The bar shows x64's dynamic density, the first arch. *)
+          @ [ Support.Table.bar ~width:16 ~max:25.0 (fst (List.hd per_arch)) ]))
+    suite rows;
   Support.Table.print t;
-  List.iter
-    (fun arch ->
+  List.iteri
+    (fun i arch ->
       let vals =
         List.filter_map
-          (fun (b : Workloads.Suite.benchmark) ->
-            Hashtbl.find_opt dyn_all (arch, b.Workloads.Suite.id))
-          (Common.suite ())
+          (function Ok per_arch -> Some (fst (List.nth per_arch i)) | Error _ -> None)
+          rows
         |> Array.of_list
       in
       if Array.length vals > 1 then
@@ -101,11 +95,14 @@ let fig3 () =
           print_string (Code.listing ~samples code)))
 
 let fig4 () =
-  Plan.run (normal_cells ());
+  let runs =
+    Common.rows_by_arch archs (fun ~arch b ->
+        Common.run_cached ~arch ~seed:1 Common.V_normal b)
+  in
   Support.Table.section
     "Fig 4: check-type breakdown -- frequency (checks/100 instr) and sampled overhead share";
   List.iter
-    (fun arch ->
+    (fun (arch, rows) ->
       let t =
         Support.Table.create
           ~title:
@@ -121,12 +118,12 @@ let fig4 () =
             @ [ "total ovh" ])
       in
       List.iter
-        (fun (b : Workloads.Suite.benchmark) ->
-          match Common.run_cached ~arch ~seed:1 Common.V_normal b with
-          | exception Support.Fault.Fault err ->
+        (fun ((b : Workloads.Suite.benchmark), row) ->
+          match row with
+          | Error err ->
             Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
               ~reason:(Support.Fault.class_name err)
-          | r ->
+          | Ok r ->
             let cells =
               List.concat_map
                 (fun g ->
@@ -141,9 +138,9 @@ let fig4 () =
             Support.Table.add_row t
               ([ b.Workloads.Suite.id ] @ cells
               @ [ Printf.sprintf "%.1f%%" (100.0 *. Harness.overhead_window r) ]))
-        (Common.suite ());
+        rows;
       Support.Table.print t)
-    archs;
+    runs;
   (* Validation the paper could not do: window heuristic vs provenance
      ground truth. *)
   let t2 =
@@ -152,14 +149,13 @@ let fig4 () =
       ~columns:[ "arch"; "mean window"; "mean truth"; "correlation" ]
   in
   List.iter
-    (fun arch ->
+    (fun (arch, rows) ->
       let pairs =
         List.filter_map
-          (fun b ->
-            match Common.run_cached ~arch ~seed:1 Common.V_normal b with
-            | r -> Some (Harness.overhead_window r, Harness.overhead_truth r)
-            | exception Support.Fault.Fault _ -> None)
-          (Common.suite ())
+          (function
+            | _, Ok r -> Some (Harness.overhead_window r, Harness.overhead_truth r)
+            | _, Error _ -> None)
+          rows
       in
       if pairs = [] then
         Support.Table.add_missing_row t2 ~label:(Arch.name arch)
@@ -174,7 +170,7 @@ let fig4 () =
             (if Array.length w < 2 then "n/a"
              else Printf.sprintf "%.2f" (Support.Stats.pearson w tr)) ]
       end)
-    archs;
+    runs;
   Support.Table.print t2
 
 let fig5 () =

@@ -4,16 +4,17 @@ let target (b : Workloads.Suite.benchmark) =
 
 let futurework () =
   let iters = max 40 (Common.iterations () / 4) in
-  Plan.run
-    (List.concat_map
-       (fun b ->
-         if target b then
-           [ Plan.cell ~cpu:Cpu.o3_kpg ~iters ~arch:Arch.Arm64 ~seed:1
-               Common.V_smi_ext b;
-             Plan.cell ~cpu:Cpu.o3_kpg ~iters ~arch:Arch.Arm64 ~seed:1
-               Common.V_fuse_maps b ]
-         else [])
-       (Common.suite ()));
+  let benches = List.filter target (Common.suite ()) in
+  let rows =
+    Support.Pool.map_result
+      (fun b ->
+        let run variant =
+          Common.run_cached ~cpu:Cpu.o3_kpg ~iterations:iters ~arch:Arch.Arm64
+            ~seed:1 variant b
+        in
+        (run Common.V_smi_ext, run Common.V_fuse_maps))
+      benches
+  in
   Support.Table.section
     "Future work (paper Section VII): fused map checks (jschkmap) on top of jsldrsmi";
   let t =
@@ -23,18 +24,13 @@ let futurework () =
         [ "benchmark"; "cycles (smi ext)"; "cycles (+map fuse)"; "speedup";
           "instr delta" ]
   in
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      if target b then begin
-        let run variant =
-          Common.run_cached ~cpu:Cpu.o3_kpg ~iterations:iters ~arch:Arch.Arm64
-            ~seed:1 variant b
-        in
-        match (run Common.V_smi_ext, run Common.V_fuse_maps) with
-        | exception Support.Fault.Fault err ->
-          Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
-            ~reason:(Support.Fault.class_name err)
-        | base, fused ->
+  List.iter2
+    (fun (b : Workloads.Suite.benchmark) row ->
+      match row with
+      | Error err ->
+        Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
+          ~reason:(Support.Fault.class_name err)
+      | Ok (base, fused) ->
         if base.Harness.error = None && fused.Harness.error = None
            && base.Harness.checksum = fused.Harness.checksum
         then begin
@@ -49,9 +45,8 @@ let futurework () =
               Support.Table.fmt_speedup (s1 /. s2);
               Printf.sprintf "%+.1f%%"
                 (100.0 *. (float_of_int i2 /. float_of_int i1 -. 1.0)) ]
-        end
-      end)
-    (Common.suite ());
+        end)
+    benches rows;
   Support.Table.print t;
   print_endline
     "(This prototype goes beyond the paper's evaluated proposal; it\n\

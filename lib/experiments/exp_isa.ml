@@ -94,22 +94,6 @@ function bench() {
     (fun (r, n) -> Printf.printf "deopt %s: %d\n" (Insn.reason_name r) n)
     (Engine.deopt_counts eng)
 
-(* The full (bench x cpu x rep x ISA) cell set behind fig13/fig14. *)
-let isa_cells () =
-  let iters = gem5_iters () in
-  List.concat_map
-    (fun b ->
-      List.concat_map
-        (fun cpu ->
-          List.concat_map
-            (fun rep ->
-              let seed = 100 + rep in
-              [ Plan.cell ~cpu ~iters ~arch:Arch.Arm64 ~seed Common.V_normal b;
-                Plan.cell ~cpu ~iters ~arch:Arch.Arm64 ~seed Common.V_smi_ext b ])
-            (List.init (Common.repetitions ()) Fun.id))
-        Cpu.gem5_cpus)
-    (smi_benches ())
-
 (* Per (bench, cpu): arrays of per-rep total cycles for both ISAs and
    retired-instruction counts. *)
 let isa_runs b cpu =
@@ -135,8 +119,22 @@ let isa_runs b cpu =
   done;
   (base, ext, !base_instr, !ext_instr)
 
+(* Every (bench, cpu) row of fig13/fig14 in one fan-out over the pool,
+   regrouped per benchmark (cpus in [Cpu.gem5_cpus] order). *)
+let all_isa_runs () =
+  let benches = smi_benches () in
+  let n = List.length Cpu.gem5_cpus in
+  let runs =
+    Support.Pool.map_result
+      (fun (b, cpu) -> isa_runs b cpu)
+      (List.concat_map
+         (fun b -> List.map (fun cpu -> (b, cpu)) Cpu.gem5_cpus)
+         benches)
+  in
+  List.mapi (fun i b -> (b, List.filteri (fun j _ -> j / n = i) runs)) benches
+
 let fig13 () =
-  Plan.run (isa_cells ());
+  let rows = all_isa_runs () in
   Support.Table.section
     "Fig 13: extended-ISA speedups on SMI kernels, per CPU model";
   let cpus = Cpu.gem5_cpus in
@@ -151,14 +149,15 @@ let fig13 () =
   let all_speedups = ref [] in
   let instr_deltas = ref [] in
   List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      (* Compute every cpu column before touching the accumulators so a
-         failed cell cannot leave a half-filled row behind. *)
-      match List.map (fun cpu -> isa_runs b cpu) cpus with
-      | exception Support.Fault.Fault err ->
+    (fun ((b : Workloads.Suite.benchmark), runs) ->
+      (* A failed cpu column drops the whole row, so the accumulators
+         never see a half-filled one. *)
+      match List.find_map (function Error e -> Some e | Ok _ -> None) runs with
+      | Some err ->
         Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
           ~reason:(Support.Fault.class_name err)
-      | runs ->
+      | None ->
+        let runs = List.map Result.get_ok runs in
         let row =
           List.map
             (fun (base, ext, _, _) ->
@@ -176,7 +175,7 @@ let fig13 () =
         instr_deltas := delta :: !instr_deltas;
         Support.Table.add_row t
           ((b.Workloads.Suite.id :: row) @ [ Printf.sprintf "%+.1f%%" delta ]))
-    (smi_benches ());
+    rows;
   Support.Table.print t;
   let sps = Array.of_list !all_speedups in
   if Array.length sps > 0 then begin
@@ -191,7 +190,7 @@ let fig13 () =
   end
 
 let fig14 () =
-  Plan.run (isa_cells ());
+  let rows = all_isa_runs () in
   Support.Table.section
     "Fig 14: execution-time distributions, default vs extended ISA";
   let cpus = Cpu.gem5_cpus in
@@ -201,15 +200,15 @@ let fig14 () =
       ~columns:[ "benchmark"; "cpu"; "default ISA"; "smi-extended ISA"; "median delta" ]
   in
   List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      List.iter
-        (fun cpu ->
-          match isa_runs b cpu with
-          | exception Support.Fault.Fault err ->
+    (fun ((b : Workloads.Suite.benchmark), runs) ->
+      List.iter2
+        (fun (cpu : Cpu.config) run ->
+          match run with
+          | Error err ->
             Support.Table.add_missing_row t
               ~label:(b.Workloads.Suite.id ^ " " ^ cpu.Cpu.cfg_name)
               ~reason:(Support.Fault.class_name err)
-          | base, ext, _, _ ->
+          | Ok (base, ext, _, _) ->
             let fmt xs =
               let q1, m, q3 = Support.Stats.quartiles xs in
               Printf.sprintf "%.3f / %.3f / %.3f" (q1 /. 1e6) (m /. 1e6)
@@ -220,6 +219,6 @@ let fig14 () =
             Support.Table.add_row t
               [ b.Workloads.Suite.id; cpu.Cpu.cfg_name; fmt base; fmt ext;
                 Printf.sprintf "%+.1f%%" (100.0 *. (m2 /. m1 -. 1.0)) ])
-        cpus)
-    (smi_benches ());
+        cpus runs)
+    rows;
   Support.Table.print t

@@ -8,69 +8,51 @@ type speedups = {
 
 let archs = [ Arch.X64; Arch.Arm64 ]
 
-(* The per-(bench, seed) cell set behind [speedups_for]: calibration is
-   a dependency stage (Plan schedules it first), then normal + removal
-   runs for every repetition seed. *)
-let speedup_cells ~arch (b : Workloads.Suite.benchmark) =
-  List.concat_map
-    (fun rep ->
-      let seed = rep + 1 in
-      [ Plan.cell ~arch ~seed Common.V_normal b;
-        Plan.removal_cell ~arch ~seed b ])
-    (List.init (Common.repetitions ()) Fun.id)
-
-let all_speedup_cells () =
-  List.concat_map
-    (fun arch -> List.concat_map (speedup_cells ~arch) (Common.suite ()))
-    archs
-
-let speedup_cache : (string, speedups) Hashtbl.t = Hashtbl.create 64
-
 let speedups_for ~arch (b : Workloads.Suite.benchmark) =
-  let key = b.Workloads.Suite.id ^ "@" ^ Arch.name arch in
-  match Hashtbl.find_opt speedup_cache key with
-  | Some s -> s
-  | None ->
-    let removable, fired = Common.removable_groups ~arch b in
-    let reps = Common.repetitions () in
-    let with_checks = Array.make reps 0.0 in
-    let without = Array.make reps 0.0 in
-    let overheads = Array.make reps 0.0 in
-    for rep = 0 to reps - 1 do
-      let seed = rep + 1 in
-      let r1 = Common.run_cached ~arch ~seed Common.V_normal b in
-      let r2 = Common.run_cached ~arch ~seed (Common.V_no_checks removable) b in
-      with_checks.(rep) <- r1.Harness.total_cycles;
-      without.(rep) <- r2.Harness.total_cycles;
-      overheads.(rep) <- Harness.overhead_window r1
-    done;
-    let removal = Array.map2 (fun a bb -> a /. bb) with_checks without in
-    let sampling = 1.0 /. (1.0 -. Support.Stats.mean overheads) in
-    let s_sig =
-      Support.Stats.practical_significance ~alpha:0.05
-        ~tests:(List.length (Common.suite ()))
-        ~min_effect:0.02 ~baseline:with_checks ~variant:without
-    in
-    let s =
-      {
-        s_bench = b;
-        s_removal = removal;
-        s_sampling = sampling;
-        s_leftover = fired <> [];
-        s_sig;
-      }
-    in
-    Hashtbl.replace speedup_cache key s;
-    s
+  let removable, fired = Common.removable_groups ~arch b in
+  let reps = Common.repetitions () in
+  let with_checks = Array.make reps 0.0 in
+  let without = Array.make reps 0.0 in
+  let overheads = Array.make reps 0.0 in
+  for rep = 0 to reps - 1 do
+    let seed = rep + 1 in
+    let r1 = Common.run_cached ~arch ~seed Common.V_normal b in
+    let r2 = Common.run_cached ~arch ~seed (Common.V_no_checks removable) b in
+    with_checks.(rep) <- r1.Harness.total_cycles;
+    without.(rep) <- r2.Harness.total_cycles;
+    overheads.(rep) <- Harness.overhead_window r1
+  done;
+  let removal = Array.map2 (fun a bb -> a /. bb) with_checks without in
+  let sampling = 1.0 /. (1.0 -. Support.Stats.mean overheads) in
+  let s_sig =
+    Support.Stats.practical_significance ~alpha:0.05
+      ~tests:(List.length (Common.suite ()))
+      ~min_effect:0.02 ~baseline:with_checks ~variant:without
+  in
+  {
+    s_bench = b;
+    s_removal = removal;
+    s_sampling = sampling;
+    s_leftover = fired <> [];
+    s_sig;
+  }
+
+let all_speedups () = Common.rows_by_arch archs speedups_for
 
 let fig6 () =
   let arch = Arch.Arm64 in
-  Plan.run
-    (List.concat_map
-       (fun b ->
-         [ Plan.cell ~arch ~seed:1 Common.V_normal b;
-           Plan.removal_cell ~arch ~seed:1 b ])
-       (Common.suite ()));
+  let suite = Common.suite () in
+  let rows =
+    Support.Pool.map_result
+      (fun b ->
+        let removable, fired = Common.removable_groups ~arch b in
+        let r1 = Common.run_cached ~arch ~seed:1 Common.V_normal b in
+        let r2 =
+          Common.run_cached ~arch ~seed:1 (Common.V_no_checks removable) b
+        in
+        (fired, r1, r2))
+      suite
+  in
   Support.Table.section
     "Fig 6: relative per-iteration time, with checks vs removed (ARM64)";
   let t =
@@ -81,20 +63,13 @@ let fig6 () =
         [ "benchmark"; "time diff"; "deopt events (iteration#)"; "interp/steady";
           "checks left" ]
   in
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      match
-        let removable, fired = Common.removable_groups ~arch b in
-        let r1 = Common.run_cached ~arch ~seed:1 Common.V_normal b in
-        let r2 =
-          Common.run_cached ~arch ~seed:1 (Common.V_no_checks removable) b
-        in
-        (fired, r1, r2)
-      with
-      | exception Support.Fault.Fault err ->
+  List.iter2
+    (fun (b : Workloads.Suite.benchmark) row ->
+      match row with
+      | Error err ->
         Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
           ~reason:(Support.Fault.class_name err)
-      | fired, r1, r2 ->
+      | Ok (fired, r1, r2) ->
       let steady1 = Harness.steady_state_cycles r1 in
       let steady2 = Harness.steady_state_cycles r2 in
       let diff = if steady1 > 0.0 then 1.0 -. (steady2 /. steady1) else 0.0 in
@@ -124,21 +99,16 @@ let fig6 () =
           deopt_str;
           Printf.sprintf "%.1fx" interp_ratio;
           String.concat "+" (List.map Insn.group_name fired) ])
-    (Common.suite ());
+    suite rows;
   Support.Table.print t;
   (* Headline: mean overall time difference (paper: 8 %). *)
   let diffs =
     List.filter_map
-      (fun b ->
-        try
-          let removable, _ = Common.removable_groups ~arch b in
-          let r1 = Common.run_cached ~arch ~seed:1 Common.V_normal b in
-          let r2 =
-            Common.run_cached ~arch ~seed:1 (Common.V_no_checks removable) b
-          in
+      (function
+        | Ok (_, r1, r2) ->
           Some (1.0 -. (r2.Harness.total_cycles /. r1.Harness.total_cycles))
-        with Support.Fault.Fault _ -> None)
-      (Common.suite ())
+        | Error _ -> None)
+      rows
     |> Array.of_list
   in
   if Array.length diffs > 0 then
@@ -147,11 +117,11 @@ let fig6 () =
   else print_endline "mean overall time difference: n/a (all cells failed)"
 
 let fig7 () =
-  Plan.run (all_speedup_cells ());
+  let by_arch = all_speedups () in
   Support.Table.section
     "Fig 7: per-benchmark speedup estimates, both methods, 95% CIs";
   List.iter
-    (fun arch ->
+    (fun (arch, rows) ->
       let t =
         Support.Table.create
           ~title:
@@ -164,12 +134,12 @@ let fig7 () =
       in
       let n_practical = ref 0 and n_total = ref 0 in
       List.iter
-        (fun b ->
-          match speedups_for ~arch b with
-          | exception Support.Fault.Fault err ->
+        (fun ((b : Workloads.Suite.benchmark), row) ->
+          match row with
+          | Error err ->
             Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
               ~reason:(Support.Fault.class_name err)
-          | s ->
+          | Ok s ->
           incr n_total;
           if s.s_sig.Support.Stats.practical then incr n_practical;
           let lo, hi = Support.Stats.ci95_mean s.s_removal in
@@ -183,15 +153,15 @@ let fig7 () =
               (if s.s_sig.Support.Stats.practical then "x+"
                else if s.s_sig.Support.Stats.significant then "x"
                else "") ])
-        (Common.suite ());
+        rows;
       Support.Table.print t;
       Printf.printf
         "%s: %d/%d benchmarks practically significant (paper: ~2/3 on ARM64)\n"
         (Arch.name arch) !n_practical !n_total)
-    archs
+    by_arch
 
 let fig8 () =
-  Plan.run (all_speedup_cells ());
+  let by_arch = all_speedups () in
   Support.Table.section "Fig 8: speedups by benchmark category";
   let t =
     Support.Table.create ~title:"geometric-mean speedups per category"
@@ -201,26 +171,23 @@ let fig8 () =
   in
   List.iter
     (fun cat ->
-      let benches =
-        List.filter
-          (fun (b : Workloads.Suite.benchmark) ->
-            b.Workloads.Suite.category = cat)
-          (Common.suite ())
+      let in_cat (b : Workloads.Suite.benchmark) =
+        b.Workloads.Suite.category = cat
       in
-      if benches <> [] then begin
+      if List.exists in_cat (Common.suite ()) then begin
         let cells =
           List.concat_map
-            (fun arch ->
+            (fun (_, rows) ->
               (* Failed cells drop out of the category mean; the cell
                  reads n/a only when every benchmark of the category
                  failed. *)
               let ok =
                 List.filter_map
-                  (fun b ->
-                    match speedups_for ~arch b with
-                    | s -> Some s
-                    | exception Support.Fault.Fault _ -> None)
-                  benches
+                  (fun (b, row) ->
+                    match row with
+                    | Ok s when in_cat b -> Some s
+                    | Ok _ | Error _ -> None)
+                  rows
               in
               let geo proj =
                 match ok with
@@ -232,7 +199,7 @@ let fig8 () =
               in
               [ geo (fun s -> Support.Stats.mean s.s_removal);
                 geo (fun s -> s.s_sampling) ])
-            archs
+            by_arch
         in
         Support.Table.add_row t (Workloads.Suite.category_name cat :: cells)
       end)
@@ -240,7 +207,7 @@ let fig8 () =
   Support.Table.print t
 
 let fig9 () =
-  Plan.run (all_speedup_cells ());
+  let by_arch = all_speedups () in
   Support.Table.section
     "Fig 9: correlation of the two overhead estimators";
   let t =
@@ -248,14 +215,14 @@ let fig9 () =
       ~columns:[ "arch"; "slope"; "intercept"; "R^2"; "pearson r"; "p-value" ]
   in
   List.iter
-    (fun arch ->
+    (fun (arch, rows) ->
       let pts =
         List.filter_map
-          (fun b ->
-            match speedups_for ~arch b with
-            | s -> Some (s.s_sampling, Support.Stats.mean s.s_removal)
-            | exception Support.Fault.Fault _ -> None)
-          (Common.suite ())
+          (fun (_, row) ->
+            match row with
+            | Ok s -> Some (s.s_sampling, Support.Stats.mean s.s_removal)
+            | Error _ -> None)
+          rows
       in
       let xs = Array.of_list (List.map fst pts) in
       let ys = Array.of_list (List.map snd pts) in
@@ -274,7 +241,7 @@ let fig9 () =
             Printf.sprintf "%.2f" r;
             Printf.sprintf "%.2g" p ]
       end)
-    archs;
+    by_arch;
   Support.Table.print t;
   print_endline
     "(paper: R^2 = 0.51 / r = 0.71 on X64, R^2 = 0.36 / r = 0.60 on ARM64,\n\

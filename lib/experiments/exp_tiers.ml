@@ -1,15 +1,17 @@
-let variants =
-  [ Common.V_interp_only; Common.V_baseline; Common.V_turboprop;
-    Common.V_normal ]
-
 let tiers () =
   let arch = Arch.Arm64 in
   let iters = max 40 (Common.iterations () / 4) in
-  Plan.run
-    (List.concat_map
-       (fun b ->
-         List.map (fun v -> Plan.cell ~iters ~arch ~seed:1 v b) variants)
-       (Common.suite ()));
+  let suite = Common.suite () in
+  let rows =
+    Support.Pool.map_result
+      (fun b ->
+        let run variant =
+          Common.run_cached ~iterations:iters ~arch ~seed:1 variant b
+        in
+        ( run Common.V_interp_only, run Common.V_baseline,
+          run Common.V_turboprop, run Common.V_normal ))
+      suite
+  in
   Support.Table.section
     "Tier ablation: interpreter / baseline (SparkPlug) / TurboProp / TurboFan";
   let t =
@@ -20,19 +22,13 @@ let tiers () =
         [ "benchmark"; "interp"; "baseline"; "turboprop"; "turbofan";
           "tp checks/100"; "tf checks/100" ]
   in
-  let run b variant =
-    Common.run_cached ~iterations:iters ~arch ~seed:1 variant b
-  in
-  List.iter
-    (fun (b : Workloads.Suite.benchmark) ->
-      match
-        ( run b Common.V_interp_only, run b Common.V_baseline,
-          run b Common.V_turboprop, run b Common.V_normal )
-      with
-      | exception Support.Fault.Fault err ->
+  List.iter2
+    (fun (b : Workloads.Suite.benchmark) row ->
+      match row with
+      | Error err ->
         Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
           ~reason:(Support.Fault.class_name err)
-      | interp, baseline, turboprop, turbofan ->
+      | Ok (interp, baseline, turboprop, turbofan) ->
       let s r = Harness.steady_state_cycles r in
       let base = s turbofan in
       if base > 0.0 then
@@ -44,7 +40,7 @@ let tiers () =
             "1.00x";
             Printf.sprintf "%.1f" (Harness.checks_per_100 turboprop);
             Printf.sprintf "%.1f" (Harness.checks_per_100 turbofan) ])
-    (Common.suite ());
+    suite rows;
   Support.Table.print t;
   print_endline
     "(TurboProp skips the check-elimination/hoisting passes: same\n\

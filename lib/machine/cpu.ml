@@ -240,7 +240,7 @@ let[@inline] fetch_line t ~addr ~line =
     if lat > 0 then begin
       let lat = float_of_int lat in
       t.clk.now <- t.clk.now +. lat;
-      t.counters.frontend_stall <- t.counters.frontend_stall +. lat
+      t.counters.stall.frontend <- t.counters.stall.frontend +. lat
     end
   end
 
@@ -256,7 +256,7 @@ let[@inline] dispatch t ~ready =
   let start = if ready > d then ready else d in
   if t.cfg.inorder then begin
     if start > c.now then begin
-      t.counters.backend_stall <- t.counters.backend_stall +. (start -. c.now);
+      t.counters.stall.backend <- t.counters.stall.backend +. (start -. c.now);
       c.now <- start
     end
   end
@@ -264,7 +264,7 @@ let[@inline] dispatch t ~ready =
     let slack = c.rob_slack in
     if start -. d > slack then begin
       let push = start -. d -. slack in
-      t.counters.backend_stall <- t.counters.backend_stall +. push;
+      t.counters.stall.backend <- t.counters.stall.backend +. push;
       c.now <- c.now +. push
     end
   end;
@@ -315,14 +315,14 @@ let[@inline] time_branch t ~pc ~ready ~taken =
     t.counters.mispredicts <- t.counters.mispredicts + 1;
     let resume = complete +. t.clk.mispredict_penalty in
     if resume > t.clk.now then begin
-      t.counters.frontend_stall <-
-        t.counters.frontend_stall +. (resume -. t.clk.now);
+      t.counters.stall.frontend <-
+        t.counters.stall.frontend +. (resume -. t.clk.now);
       t.clk.now <- resume
     end
   end
   else if taken then begin
     t.clk.now <- t.clk.now +. t.clk.taken_bubble;
-    t.counters.frontend_stall <- t.counters.frontend_stall +. t.clk.taken_bubble
+    t.counters.stall.frontend <- t.counters.stall.frontend +. t.clk.taken_bubble
   end;
   finish t complete
 

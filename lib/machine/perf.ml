@@ -1,3 +1,6 @@
+(* All-float, so its fields are stored unboxed: see perf.mli. *)
+type stalls = { mutable frontend : float; mutable backend : float }
+
 type counters = {
   mutable instructions : int;
   mutable branches : int;
@@ -5,8 +8,7 @@ type counters = {
   mutable mispredicts : int;
   mutable loads : int;
   mutable stores : int;
-  mutable frontend_stall : float;
-  mutable backend_stall : float;
+  stall : stalls;
   mutable check_instructions : int;
   mutable check_branches : int;
   check_per_group : int array;
@@ -23,8 +25,7 @@ let create_counters () =
     mispredicts = 0;
     loads = 0;
     stores = 0;
-    frontend_stall = 0.0;
-    backend_stall = 0.0;
+    stall = { frontend = 0.0; backend = 0.0 };
     check_instructions = 0;
     check_branches = 0;
     check_per_group = Array.make 6 0;
@@ -40,8 +41,8 @@ let reset_counters c =
   c.mispredicts <- 0;
   c.loads <- 0;
   c.stores <- 0;
-  c.frontend_stall <- 0.0;
-  c.backend_stall <- 0.0;
+  c.stall.frontend <- 0.0;
+  c.stall.backend <- 0.0;
   c.check_instructions <- 0;
   c.check_branches <- 0;
   Array.fill c.check_per_group 0 6 0;
@@ -63,8 +64,8 @@ let add_counters acc c =
   acc.mispredicts <- acc.mispredicts + c.mispredicts;
   acc.loads <- acc.loads + c.loads;
   acc.stores <- acc.stores + c.stores;
-  acc.frontend_stall <- acc.frontend_stall +. c.frontend_stall;
-  acc.backend_stall <- acc.backend_stall +. c.backend_stall;
+  acc.stall.frontend <- acc.stall.frontend +. c.stall.frontend;
+  acc.stall.backend <- acc.stall.backend +. c.stall.backend;
   acc.check_instructions <- acc.check_instructions + c.check_instructions;
   acc.check_branches <- acc.check_branches + c.check_branches;
   Array.iteri

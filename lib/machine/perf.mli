@@ -7,6 +7,10 @@
     first estimation method (Section III-A): sample the committed PC at a
     fixed cycle period and attribute samples to instructions. *)
 
+(** Stall cycles, in a record of its own: an all-float record stores its
+    fields unboxed, so charging a stall allocates nothing. *)
+type stalls = { mutable frontend : float; mutable backend : float }
+
 type counters = {
   mutable instructions : int;
   mutable branches : int;
@@ -14,8 +18,7 @@ type counters = {
   mutable mispredicts : int;
   mutable loads : int;
   mutable stores : int;
-  mutable frontend_stall : float;
-  mutable backend_stall : float;
+  stall : stalls;
   mutable check_instructions : int;  (** ground truth, committed *)
   mutable check_branches : int;      (** committed deopt branches *)
   check_per_group : int array;       (** committed check instructions,

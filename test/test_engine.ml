@@ -63,7 +63,7 @@ let test_counter_sanity () =
     (c.Perf.check_instructions <= c.Perf.jit_instructions);
   Alcotest.(check bool) "cycles positive" true (Engine.cycles eng > 0.0);
   Alcotest.(check bool) "stall counters nonnegative" true
-    (c.Perf.frontend_stall >= 0.0 && c.Perf.backend_stall >= 0.0)
+    (c.Perf.stall.Perf.frontend >= 0.0 && c.Perf.stall.Perf.backend >= 0.0)
 
 let test_smi_ext_bailout_roundtrip () =
   (* jsldrsmi's REG_BA bailout must resume with interpreter semantics. *)

@@ -472,10 +472,6 @@ let test_degraded_figure_end_to_end () =
       Unix.putenv "VSPEC_BENCH" "";
       Unix.putenv "VSPEC_ITERS" "")
     (fun () ->
-      Experiments.Plan.run ~jobs:2
-        (List.map
-           (fun b -> Experiments.Plan.cell ~arch:Arch.Arm64 ~seed:1 Experiments.Common.V_normal b)
-           (Experiments.Common.suite ()));
       (match
          Experiments.Common.run_result ~arch:Arch.Arm64 ~seed:1
            Experiments.Common.V_normal (bench "DP")
@@ -492,8 +488,6 @@ let test_degraded_figure_end_to_end () =
       (* The calibration path shares the cell runner: its failure is
          typed, and the negative cache answers the repeat without
          touching the simulator, the disk cache or the ledger. *)
-      Experiments.Plan.run ~jobs:2
-        [ Experiments.Plan.removal_cell ~arch:Arch.Arm64 ~seed:1 (bench "HASH") ];
       let calibrate () =
         Experiments.Common.removable_groups_result ~arch:Arch.Arm64
           (bench "HASH")
@@ -511,11 +505,16 @@ let test_degraded_figure_end_to_end () =
         stats (Experiments.Common.cache_stats ());
       Alcotest.(check int) "repeat not re-ledgered" ledger
         (List.length (Fault.Ledger.entries ()));
-      let out = with_captured_stdout (fun () -> Experiments.Exp_checks.fig1 ()) in
-      Alcotest.(check bool) "failed cell rendered as missing" true
-        (contains ~sub:"(missing" out);
-      Alcotest.(check bool) "surviving cell still rendered" true
-        (contains ~sub:"DP" out);
+      (* fig1 reads the failed sim cells, fig6 the failed calibration;
+         both render HASH as a missing row and keep DP. *)
+      List.iter
+        (fun fig ->
+          let out = with_captured_stdout fig in
+          Alcotest.(check bool) "failed cell rendered as missing" true
+            (contains ~sub:"(missing: injected)" out);
+          Alcotest.(check bool) "surviving cell still rendered" true
+            (contains ~sub:"DP" out))
+        [ Experiments.Exp_checks.fig1; Experiments.Exp_removal.fig6 ];
       Alcotest.(check bool) "ledger has the permanent failures" true
         (Fault.Ledger.permanent_count () >= 1);
       Alcotest.(check int) "degraded exit code" 1 (Fault.Ledger.exit_code ()))

@@ -1,86 +1,62 @@
-(* End-to-end determinism of the parallel experiment layer: a
-   VSPEC_JOBS=4 plan must produce results bit-identical (checksums,
-   counters, sample attributions — the whole marshaled result) to
-   VSPEC_JOBS=1, and the jobs=1 path must be identical to calling the
-   harness directly (the pre-plan sequential path). *)
+(* End-to-end determinism of the parallel experiment layer: every figure
+   fans its rows out over the domain pool and then builds its table
+   sequentially from the ordered results, so a VSPEC_JOBS=4 figure must
+   print byte-identical stdout to VSPEC_JOBS=1 after the same number of
+   simulations, and a second call must be answered entirely by the memo.
+   The cell runner at jobs=1 must also be identical to calling the
+   harness directly. *)
 
-(* The on-disk cache must not leak state between the two runs. *)
+(* The on-disk cache must not leak state between the runs. *)
 let () = Unix.putenv "VSPEC_CACHE_DIR" "off"
 
 let iters = 12
-let bench ids = List.filter_map Workloads.Suite.by_id ids
-let benches () = bench [ "DP"; "HASH" ]
 
 let digest (r : Experiments.Harness.result) =
   Digest.to_hex (Digest.string (Marshal.to_string r []))
 
-let plan_cells bs =
-  List.concat_map
-    (fun b ->
-      [ Experiments.Plan.cell ~iters ~arch:Arch.Arm64 ~seed:1
-          Experiments.Common.V_normal b;
-        Experiments.Plan.cell ~iters ~arch:Arch.X64 ~seed:2
-          Experiments.Common.V_normal b;
-        Experiments.Plan.removal_cell ~iters ~arch:Arch.Arm64 ~seed:1 b ])
-    bs
+let with_env vars f =
+  List.iter (fun (k, v) -> Unix.putenv k v) vars;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (k, _) -> Unix.putenv k "") vars)
+    f
 
-(* Read every planned result (and the calibration it depends on) back
-   out of the warm caches as stable digests. *)
-let snapshot bs =
-  List.concat_map
-    (fun b ->
-      let removable, fired =
-        Experiments.Common.removable_groups ~arch:Arch.Arm64 b
-      in
-      let r1 =
-        Experiments.Common.run_cached ~iterations:iters ~arch:Arch.Arm64
-          ~seed:1 Experiments.Common.V_normal b
-      in
-      let r2 =
-        Experiments.Common.run_cached ~iterations:iters ~arch:Arch.X64 ~seed:2
-          Experiments.Common.V_normal b
-      in
-      let r3 =
-        Experiments.Common.run_cached ~iterations:iters ~arch:Arch.Arm64
-          ~seed:1
-          (Experiments.Common.V_no_checks removable)
-          b
-      in
-      [ String.concat "+" (List.map Insn.group_name removable);
-        String.concat "+" (List.map Insn.group_name fired);
-        digest r1; digest r2; digest r3 ])
-    bs
+(* [(stdout, sims)] of a cold call of [fig] at [jobs], after checking
+   that a second, warm call prints the same and simulates nothing. *)
+let run_figure ~jobs fig =
+  with_env
+    [ ("VSPEC_JOBS", string_of_int jobs); ("VSPEC_BENCH", "DP,HASH");
+      ("VSPEC_ITERS", string_of_int iters); ("VSPEC_REPS", "2") ]
+    (fun () ->
+      Experiments.Common.clear_memo ();
+      let out = Test_faults.with_captured_stdout fig in
+      let sims, _ = Experiments.Common.cache_stats () in
+      let again = Test_faults.with_captured_stdout fig in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: second call runs no new sims" jobs)
+        sims
+        (fst (Experiments.Common.cache_stats ()));
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d: second call prints the same" jobs)
+        out again;
+      (out, sims))
 
-let run_plan ~jobs bs =
-  Experiments.Common.clear_memo ();
-  Experiments.Plan.run ~jobs (plan_cells bs);
-  let sims_after_plan, _ = Experiments.Common.cache_stats () in
-  let snap = snapshot bs in
-  let sims_after_snap, _ = Experiments.Common.cache_stats () in
-  (snap, sims_after_plan, sims_after_snap)
-
-let test_parallel_matches_sequential () =
-  let bs = benches () in
-  let seq, seq_plan_sims, seq_total_sims = run_plan ~jobs:1 bs in
-  let par, par_plan_sims, par_total_sims = run_plan ~jobs:4 bs in
-  Alcotest.(check (list string)) "jobs=4 identical to jobs=1" seq par;
-  (* The plan covered the driver's whole cell set: reading results back
-     costs zero new simulations, sequential or parallel. *)
-  Alcotest.(check int) "no extra sims after sequential plan" seq_plan_sims
-    seq_total_sims;
-  Alcotest.(check int) "no extra sims after parallel plan" par_plan_sims
-    par_total_sims;
-  Alcotest.(check int) "same simulation count" seq_total_sims par_total_sims
+let test_figure_schedule_independent fig () =
+  let seq, seq_sims = run_figure ~jobs:1 fig in
+  let par, par_sims = run_figure ~jobs:4 fig in
+  Alcotest.(check string) "jobs=4 stdout = jobs=1 stdout" seq par;
+  Alcotest.(check int) "same simulation count" seq_sims par_sims;
+  Alcotest.(check bool) "the figure simulated" true (seq_sims > 0)
 
 let test_jobs1_matches_direct_harness () =
   let b = Option.get (Workloads.Suite.by_id "DP") in
   Experiments.Common.clear_memo ();
-  Experiments.Plan.run ~jobs:1
-    [ Experiments.Plan.cell ~iters ~arch:Arch.Arm64 ~seed:1
-        Experiments.Common.V_normal b ];
   let cached =
-    Experiments.Common.run_cached ~iterations:iters ~arch:Arch.Arm64 ~seed:1
-      Experiments.Common.V_normal b
+    List.hd
+      (Support.Pool.map ~jobs:1
+         (fun b ->
+           Experiments.Common.run_cached ~iterations:iters ~arch:Arch.Arm64
+             ~seed:1 Experiments.Common.V_normal b)
+         [ b ])
   in
   let direct =
     Experiments.Harness.run ~iterations:iters
@@ -89,18 +65,19 @@ let test_jobs1_matches_direct_harness () =
            Experiments.Common.V_normal)
       b
   in
-  Alcotest.(check string) "plan result = direct harness run" (digest direct)
+  Alcotest.(check string) "pooled result = direct harness run" (digest direct)
     (digest cached)
 
 let test_single_flight_under_duplication () =
-  (* The same cell listed many times still simulates once. *)
+  (* The same cell asked for by many pool jobs still simulates once. *)
   let b = Option.get (Workloads.Suite.by_id "DP") in
   Experiments.Common.clear_memo ();
-  let cell () =
-    Experiments.Plan.cell ~iters ~arch:Arch.Arm64 ~seed:7
-      Experiments.Common.V_normal b
-  in
-  Experiments.Plan.run ~jobs:4 (List.init 12 (fun _ -> cell ()));
+  ignore
+    (Support.Pool.map ~jobs:4
+       (fun b ->
+         Experiments.Common.run_cached ~iterations:iters ~arch:Arch.Arm64
+           ~seed:7 Experiments.Common.V_normal b)
+       (List.init 12 (fun _ -> b)));
   let sims, _ = Experiments.Common.cache_stats () in
   Alcotest.(check int) "one simulation for twelve duplicate cells" 1 sims
 
@@ -108,8 +85,10 @@ let suite =
   [
     ( "parallel-determinism",
       [
-        Alcotest.test_case "jobs=4 = jobs=1 (full results)" `Quick
-          test_parallel_matches_sequential;
+        Alcotest.test_case "fig1 jobs=4 = jobs=1" `Quick
+          (test_figure_schedule_independent Experiments.Exp_checks.fig1);
+        Alcotest.test_case "fig7 jobs=4 = jobs=1" `Quick
+          (test_figure_schedule_independent Experiments.Exp_removal.fig7);
         Alcotest.test_case "jobs=1 = direct harness" `Quick
           test_jobs1_matches_direct_harness;
         Alcotest.test_case "duplicate cells single-flight" `Quick

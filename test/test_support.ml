@@ -325,7 +325,20 @@ let test_knob_readers () =
       Alcotest.(check bool) "validate rejects it" true
         (match K.validate () with
         | () -> false
-        | exception K.Invalid { name; _ } -> name = "VSPEC_TEST_INT"))
+        | exception K.Invalid { name; _ } -> name = "VSPEC_TEST_INT"));
+  (* The statistical figures' Welch t-test needs two repetitions, so
+     VSPEC_REPS declares its range as >= 2. *)
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "VSPEC_REPS" "")
+    (fun () ->
+      Unix.putenv "VSPEC_REPS" "1";
+      Alcotest.(check bool) "VSPEC_REPS=1 rejected" true
+        (match Experiments.Common.repetitions () with
+        | _ -> false
+        | exception K.Invalid { name; _ } -> name = "VSPEC_REPS");
+      Unix.putenv "VSPEC_REPS" "2";
+      Alcotest.(check int) "VSPEC_REPS=2 accepted" 2
+        (Experiments.Common.repetitions ()))
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

@@ -436,18 +436,22 @@ let suite =
         Error ("benchmark ids, comma-separated; unknown: "
                ^ String.concat ", " unknown))
 
-let rows_by_arch archs row =
-  let pairs =
-    List.concat_map (fun arch -> List.map (fun b -> (arch, b)) (suite ())) archs
+(* A permanent cell failure reaches a row as [Fault.Fault]; the cell
+   runner has already ledgered it, so the row only turns it into its
+   [Error] slot.  Any other exception is a bug and propagates. *)
+let rows row xs =
+  Support.Pool.map
+    (fun x -> try Ok (row x) with Support.Fault.Fault err -> Error err)
+    xs
+
+let rows_by keys xs row =
+  let n = List.length xs in
+  let results =
+    Array.of_list
+      (rows
+         (fun (k, x) -> row k x)
+         (List.concat_map (fun k -> List.map (fun x -> (k, x)) xs) keys))
   in
-  let rows =
-    List.combine pairs
-      (Support.Pool.map_result (fun (arch, b) -> row ~arch b) pairs)
-  in
-  List.map
-    (fun arch ->
-      ( arch,
-        List.filter_map
-          (fun ((a, b), r) -> if a = arch then Some (b, r) else None)
-          rows ))
-    archs
+  List.mapi
+    (fun i k -> (k, List.mapi (fun j x -> (x, results.((i * n) + j))) xs))
+    keys

@@ -95,18 +95,21 @@ val suite : unit -> Workloads.Suite.benchmark list
     surrounding whitespace ignored) if set.  Raises [Support.Knob.Invalid]
     naming any unknown id. *)
 
-val rows_by_arch :
-  Arch.t list ->
-  (arch:Arch.t -> Workloads.Suite.benchmark -> 'a) ->
-  (Arch.t
-  * (Workloads.Suite.benchmark * ('a, Support.Fault.error) result) list)
-  list
-(** [rows_by_arch archs row] computes one row per (arch, benchmark)
-    pair in one {!Support.Pool.map_result} fan-out and regroups the
-    results per arch, benchmarks in suite order.  [row] must be pure:
-    it reads cells only through the memoized runners above, so the
-    results do not depend on the schedule.  A row whose cell failed
-    permanently is [Error]. *)
+val rows : ('a -> 'b) -> 'a list -> ('b, Support.Fault.error) result list
+(** The figure row fan-out: [rows row xs] computes [row x] for every
+    [x] on the {!Support.Pool}, results in [xs] order.  [row] must be
+    pure: it reads cells only through the memoized runners above and
+    leaves accumulators to the caller, so the results do not depend on
+    the schedule.  A row that raises [Support.Fault.Fault err] (a cell
+    that failed permanently, already recorded in the ledger by the
+    cell runner) is [Error err]; any other exception propagates. *)
+
+val rows_by :
+  'k list -> 'a list -> ('k -> 'a -> 'b) ->
+  ('k * ('a * ('b, Support.Fault.error) result) list) list
+(** [rows_by keys xs row] computes one row per (key, x) pair in one
+    {!rows} fan-out and regroups the results per key, keys in [keys]
+    order and [xs] order within each group. *)
 
 val cache_stats : unit -> int * int
 (** [(simulations, disk_hits)] since start/last {!clear_memo}: fresh

@@ -6,7 +6,7 @@ let elements () =
   let arch = Arch.Arm64 in
   let benches = List.filter target (Common.suite ()) in
   let rows =
-    Support.Pool.map_result
+    Common.rows
       (fun b ->
         ( Common.run_cached ~arch ~seed:1 Common.V_normal b,
           Common.run_cached ~arch ~seed:1 Common.V_trust_elements b ))

@@ -2,7 +2,7 @@ let pct_change a b = if a = 0.0 then 0.0 else 100.0 *. ((b -. a) /. a)
 
 let fig10 () =
   let by_arch =
-    Common.rows_by_arch [ Arch.X64; Arch.Arm64 ] (fun ~arch b ->
+    Common.rows_by [ Arch.X64; Arch.Arm64 ] (Common.suite ()) (fun arch b ->
         let _, fired = Common.removable_groups ~arch b in
         let r1 = Common.run_cached ~arch ~seed:1 Common.V_normal b in
         let r2 = Common.run_cached ~arch ~seed:1 Common.V_no_branches b in

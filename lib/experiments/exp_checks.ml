@@ -4,7 +4,7 @@ let fig1 () =
   let suite = Common.suite () in
   (* One row per benchmark: (dynamic, static) checks/100 per arch. *)
   let rows =
-    Support.Pool.map_result
+    Common.rows
       (fun b ->
         List.map
           (fun arch ->
@@ -96,7 +96,7 @@ let fig3 () =
 
 let fig4 () =
   let runs =
-    Common.rows_by_arch archs (fun ~arch b ->
+    Common.rows_by archs (Common.suite ()) (fun arch b ->
         Common.run_cached ~arch ~seed:1 Common.V_normal b)
   in
   Support.Table.section

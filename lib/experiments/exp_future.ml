@@ -6,7 +6,7 @@ let futurework () =
   let iters = max 40 (Common.iterations () / 4) in
   let benches = List.filter target (Common.suite ()) in
   let rows =
-    Support.Pool.map_result
+    Common.rows
       (fun b ->
         let run variant =
           Common.run_cached ~cpu:Cpu.o3_kpg ~iterations:iters ~arch:Arch.Arm64

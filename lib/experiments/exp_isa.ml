@@ -119,19 +119,9 @@ let isa_runs b cpu =
   done;
   (base, ext, !base_instr, !ext_instr)
 
-(* Every (bench, cpu) row of fig13/fig14 in one fan-out over the pool,
-   regrouped per benchmark (cpus in [Cpu.gem5_cpus] order). *)
-let all_isa_runs () =
-  let benches = smi_benches () in
-  let n = List.length Cpu.gem5_cpus in
-  let runs =
-    Support.Pool.map_result
-      (fun (b, cpu) -> isa_runs b cpu)
-      (List.concat_map
-         (fun b -> List.map (fun cpu -> (b, cpu)) Cpu.gem5_cpus)
-         benches)
-  in
-  List.mapi (fun i b -> (b, List.filteri (fun j _ -> j / n = i) runs)) benches
+(* Every (bench, cpu) row of fig13/fig14 in one fan-out, regrouped
+   per benchmark (cpus in [Cpu.gem5_cpus] order). *)
+let all_isa_runs () = Common.rows_by (smi_benches ()) Cpu.gem5_cpus isa_runs
 
 let fig13 () =
   let rows = all_isa_runs () in
@@ -152,12 +142,14 @@ let fig13 () =
     (fun ((b : Workloads.Suite.benchmark), runs) ->
       (* A failed cpu column drops the whole row, so the accumulators
          never see a half-filled one. *)
-      match List.find_map (function Error e -> Some e | Ok _ -> None) runs with
+      match
+        List.find_map (function _, Error e -> Some e | _, Ok _ -> None) runs
+      with
       | Some err ->
         Support.Table.add_missing_row t ~label:b.Workloads.Suite.id
           ~reason:(Support.Fault.class_name err)
       | None ->
-        let runs = List.map Result.get_ok runs in
+        let runs = List.map (fun (_, run) -> Result.get_ok run) runs in
         let row =
           List.map
             (fun (base, ext, _, _) ->
@@ -193,7 +185,6 @@ let fig14 () =
   let rows = all_isa_runs () in
   Support.Table.section
     "Fig 14: execution-time distributions, default vs extended ISA";
-  let cpus = Cpu.gem5_cpus in
   let t =
     Support.Table.create
       ~title:"total-cycle quartiles across repetitions (q1 / median / q3, millions)"
@@ -201,8 +192,8 @@ let fig14 () =
   in
   List.iter
     (fun ((b : Workloads.Suite.benchmark), runs) ->
-      List.iter2
-        (fun (cpu : Cpu.config) run ->
+      List.iter
+        (fun ((cpu : Cpu.config), run) ->
           match run with
           | Error err ->
             Support.Table.add_missing_row t
@@ -219,6 +210,6 @@ let fig14 () =
             Support.Table.add_row t
               [ b.Workloads.Suite.id; cpu.Cpu.cfg_name; fmt base; fmt ext;
                 Printf.sprintf "%+.1f%%" (100.0 *. (m2 /. m1 -. 1.0)) ])
-        cpus runs)
+        runs)
     rows;
   Support.Table.print t

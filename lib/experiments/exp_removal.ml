@@ -37,13 +37,14 @@ let speedups_for ~arch (b : Workloads.Suite.benchmark) =
     s_sig;
   }
 
-let all_speedups () = Common.rows_by_arch archs speedups_for
+let all_speedups () =
+  Common.rows_by archs (Common.suite ()) (fun arch b -> speedups_for ~arch b)
 
 let fig6 () =
   let arch = Arch.Arm64 in
   let suite = Common.suite () in
   let rows =
-    Support.Pool.map_result
+    Common.rows
       (fun b ->
         let removable, fired = Common.removable_groups ~arch b in
         let r1 = Common.run_cached ~arch ~seed:1 Common.V_normal b in

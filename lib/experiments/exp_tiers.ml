@@ -3,7 +3,7 @@ let tiers () =
   let iters = max 40 (Common.iterations () / 4) in
   let suite = Common.suite () in
   let rows =
-    Support.Pool.map_result
+    Common.rows
       (fun b ->
         let run variant =
           Common.run_cached ~iterations:iters ~arch ~seed:1 variant b

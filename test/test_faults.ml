@@ -519,6 +519,46 @@ let test_degraded_figure_end_to_end () =
         (Fault.Ledger.permanent_count () >= 1);
       Alcotest.(check int) "degraded exit code" 1 (Fault.Ledger.exit_code ()))
 
+let test_row_wrapper_contains_only_faults () =
+  (* A row's cell failure comes back in its slot; any other exception
+     is a bug and must still crash the run. *)
+  let crash = Fault.Worker_crash { exn_name = "x"; exn_msg = "y" } in
+  let rows =
+    Experiments.Common.rows
+      (fun i -> if i = 1 then raise (Fault.Fault crash) else i)
+      [ 0; 1; 2 ]
+  in
+  (match rows with
+  | [ Ok 0; Error e; Ok 2 ] when e = crash -> ()
+  | _ -> Alcotest.fail "expected [Ok 0; Error crash; Ok 2]");
+  match
+    Experiments.Common.rows
+      (fun i -> if i = 1 then failwith "row bug" else i)
+      [ 0; 1; 2 ]
+  with
+  | _ -> Alcotest.fail "a non-Fault exception must propagate"
+  | exception Failure msg -> Alcotest.(check string) "propagated" "row bug" msg
+
+let test_worker_injection_transparent_to_figure () =
+  (* The worker injection site belongs to pool jobs, not to cells: even
+     at full rate it must leave a figure's stdout and the run's verdict
+     exactly as a clean run has them. *)
+  Unix.putenv "VSPEC_BENCH" "DP,HASH";
+  Unix.putenv "VSPEC_ITERS" "10";
+  Unix.putenv "VSPEC_JOBS" "2";
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "VSPEC_BENCH" "";
+      Unix.putenv "VSPEC_ITERS" "";
+      Unix.putenv "VSPEC_JOBS" "")
+    (fun () ->
+      let clean = with_captured_stdout Experiments.Exp_checks.fig1 in
+      Experiments.Common.clear_memo ();
+      Fault.Inject.set_spec "worker:1.0:3";
+      let injected = with_captured_stdout Experiments.Exp_checks.fig1 in
+      Alcotest.(check string) "same stdout as a clean run" clean injected;
+      Alcotest.(check int) "clean exit code" 0 (Fault.Ledger.exit_code ()))
+
 let tc name f = Alcotest.test_case name `Quick (isolated f)
 
 let suite =
@@ -547,5 +587,9 @@ let suite =
         tc "unusable cache dir degrades" test_unusable_cache_dir_degrades;
         tc "ledger exit-code contract" test_ledger_exit_codes;
         tc "degraded figure end-to-end" test_degraded_figure_end_to_end;
+        tc "figure rows contain only faults"
+          test_row_wrapper_contains_only_faults;
+        tc "worker injection transparent to a figure"
+          test_worker_injection_transparent_to_figure;
       ] );
   ]

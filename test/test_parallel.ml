@@ -2,9 +2,9 @@
    fans its rows out over the domain pool and then builds its table
    sequentially from the ordered results, so a VSPEC_JOBS=4 figure must
    print byte-identical stdout to VSPEC_JOBS=1 after the same number of
-   simulations, and a second call must be answered entirely by the memo.
-   The cell runner at jobs=1 must also be identical to calling the
-   harness directly. *)
+   simulations, leave bit-identical results for every cell it read, and
+   answer a second call entirely from the memo.  The cell runner at
+   jobs=1 must also be identical to calling the harness directly. *)
 
 (* The on-disk cache must not leak state between the runs. *)
 let () = Unix.putenv "VSPEC_CACHE_DIR" "off"
@@ -20,9 +20,44 @@ let with_env vars f =
     ~finally:(fun () -> List.iter (fun (k, _) -> Unix.putenv k "") vars)
     f
 
-(* [(stdout, sims)] of a cold call of [fig] at [jobs], after checking
-   that a second, warm call prints the same and simulates nothing. *)
-let run_figure ~jobs fig =
+let archs = [ Arch.X64; Arch.Arm64 ]
+
+(* Digests of every cell fig1 reads. *)
+let fig1_cells () =
+  List.concat_map
+    (fun b ->
+      List.map
+        (fun arch ->
+          digest
+            (Experiments.Common.run_cached ~arch ~seed:1
+               Experiments.Common.V_normal b))
+        archs)
+    (Experiments.Common.suite ())
+
+(* Digests of every calibration and cell fig7 reads. *)
+let fig7_cells () =
+  List.concat_map
+    (fun b ->
+      List.concat_map
+        (fun arch ->
+          let calib = Experiments.Common.removable_groups ~arch b in
+          let removable, _ = calib in
+          Digest.to_hex (Digest.string (Marshal.to_string calib []))
+          :: List.concat_map
+               (fun seed ->
+                 let cell variant =
+                   digest (Experiments.Common.run_cached ~arch ~seed variant b)
+                 in
+                 [ cell Experiments.Common.V_normal;
+                   cell (Experiments.Common.V_no_checks removable) ])
+               (List.init (Experiments.Common.repetitions ()) succ))
+        archs)
+    (Experiments.Common.suite ())
+
+(* [(stdout, sims, cell digests)] of a cold call of [fig] at [jobs],
+   after checking that reading its cells back and a second, warm call
+   both simulate nothing, and that the warm call prints the same. *)
+let run_figure ~jobs (fig, cells) =
   with_env
     [ ("VSPEC_JOBS", string_of_int jobs); ("VSPEC_BENCH", "DP,HASH");
       ("VSPEC_ITERS", string_of_int iters); ("VSPEC_REPS", "2") ]
@@ -30,6 +65,11 @@ let run_figure ~jobs fig =
       Experiments.Common.clear_memo ();
       let out = Test_faults.with_captured_stdout fig in
       let sims, _ = Experiments.Common.cache_stats () in
+      let digests = cells () in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: the figure's cells are memo hits" jobs)
+        sims
+        (fst (Experiments.Common.cache_stats ()));
       let again = Test_faults.with_captured_stdout fig in
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d: second call runs no new sims" jobs)
@@ -38,12 +78,14 @@ let run_figure ~jobs fig =
       Alcotest.(check string)
         (Printf.sprintf "jobs=%d: second call prints the same" jobs)
         out again;
-      (out, sims))
+      (out, sims, digests))
 
 let test_figure_schedule_independent fig () =
-  let seq, seq_sims = run_figure ~jobs:1 fig in
-  let par, par_sims = run_figure ~jobs:4 fig in
+  let seq, seq_sims, seq_cells = run_figure ~jobs:1 fig in
+  let par, par_sims, par_cells = run_figure ~jobs:4 fig in
   Alcotest.(check string) "jobs=4 stdout = jobs=1 stdout" seq par;
+  Alcotest.(check (list string)) "jobs=4 cells = jobs=1 cells (full results)"
+    seq_cells par_cells;
   Alcotest.(check int) "same simulation count" seq_sims par_sims;
   Alcotest.(check bool) "the figure simulated" true (seq_sims > 0)
 
@@ -85,10 +127,12 @@ let suite =
   [
     ( "parallel-determinism",
       [
-        Alcotest.test_case "fig1 jobs=4 = jobs=1" `Quick
-          (test_figure_schedule_independent Experiments.Exp_checks.fig1);
-        Alcotest.test_case "fig7 jobs=4 = jobs=1" `Quick
-          (test_figure_schedule_independent Experiments.Exp_removal.fig7);
+        Alcotest.test_case "jobs=4 = jobs=1 (full results)" `Quick
+          (test_figure_schedule_independent
+             (Experiments.Exp_checks.fig1, fig1_cells));
+        Alcotest.test_case "fig7 jobs=4 = jobs=1 (full results)" `Quick
+          (test_figure_schedule_independent
+             (Experiments.Exp_removal.fig7, fig7_cells));
         Alcotest.test_case "jobs=1 = direct harness" `Quick
           test_jobs1_matches_direct_harness;
         Alcotest.test_case "duplicate cells single-flight" `Quick
